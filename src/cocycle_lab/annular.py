@@ -19,20 +19,11 @@ backward strands over the ray without corrupting any marking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-import itertools
+from dataclasses import dataclass
 import json
 import re
 
-from .gauss import GaussDiagram
-
-
-class DiagramError(ValueError):
-    """Structural problem with a Morse word or diagram."""
-
-    def __init__(self, code, message):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+from .gauss import DiagramError, GaussDiagram
 
 
 @dataclass(frozen=True)
@@ -111,14 +102,28 @@ class AnnularDiagram:
     a tangle across the origin may differ.
     """
 
-    def __init__(self, n, events, w0=None, strict=False):
+    def __init__(self, n, events, w0=None):
         self.n = n
         self.events = list(events)
         self.w0 = n if w0 is None else w0
         self._widths = None
-        self._trav = None
         self._gauss = None
-        self.validate(strict=strict)
+        self.validate()
+
+    @classmethod
+    def _derive(cls, parent, events, gauss):
+        """The state a local move leaves behind, built without validation.
+
+        Only for moves that keep every slice width and whose Gauss data
+        follows from the parent's by a local edit (Exchange, R3): the
+        parent was validated, so the derived state is as well.  It shares
+        the parent's n, w0 and widths.
+        """
+        d = cls.__new__(cls)
+        d.n, d.events, d.w0 = parent.n, events, parent.w0
+        d._widths = parent.widths()
+        d._gauss = gauss
+        return d
 
     # -- structure ---------------------------------------------------------
 
@@ -134,7 +139,7 @@ class AnnularDiagram:
         self._widths = w[:-1]
         return self._widths
 
-    def validate(self, strict=False):
+    def validate(self):
         w = self.widths()
         for t, ev in enumerate(self.events):
             wt = w[t]
@@ -148,17 +153,6 @@ class AnnularDiagram:
         if len(set(cids)) != len(cids):
             raise DiagramError('E_ID', "duplicate crossing ids")
         self._traverse()
-        if strict:
-            self.check_ray()
-
-    def check_ray(self):
-        """Strict membership presentation: n strands over the ray, all
-        counter-clockwise."""
-        if self.w0 != self.n:
-            raise DiagramError('E_RAY', f"ray width {self.w0} != class {self.n}")
-        ray = [s for k, s in self.gauss().tokens if k == 'r']
-        if len(ray) != self.n or any(s != 1 for s in ray):
-            raise DiagramError('E_RAY', "ray crossed backward")
 
     # -- traversal ---------------------------------------------------------
 
@@ -196,17 +190,16 @@ class AnnularDiagram:
         return p if p < i else p + 2
 
     def _traverse(self):
-        if self._trav is not None:
-            return self._trav
+        if self._gauss is not None:
+            return self._gauss
         m = len(self.events)
         w = self.widths() if m else [self.w0]
         if m == 0:
             if self.w0 != 1:
                 raise DiagramError('E_COMPONENTS', "bare word must be a single ring")
             tokens = [('r', 1)]
-            self._trav = (tokens, {})
             self._gauss = GaussDiagram(tokens, {})
-            return self._trav
+            return self._gauss
 
         pairings = [self._event_pairing(ev) for ev in self.events]
         arcs = {(t, p) for t in range(m) for p in range(1, w[t] + 1)}
@@ -274,13 +267,11 @@ class AnnularDiagram:
             if set(d) != {1, 2}:
                 raise DiagramError('E_TRAVERSE', f"crossing {ev.cid} not passed twice")
             signs[ev.cid] = d[1] * d[2] * (1 if ev.over == '+' else -1)
-        self._trav = (tokens, signs)
         self._gauss = GaussDiagram(tokens, signs)
-        return self._trav
+        return self._gauss
 
     def gauss(self):
-        self._traverse()
-        return self._gauss
+        return self._traverse()
 
     # -- semantic checks ---------------------------------------------------
 
@@ -320,7 +311,6 @@ class AnnularDiagram:
             if not changed:
                 return (True, None)
         # recover a cycle through bad
-        seen = []
         v = bad
         for _ in nodes:
             v = pred[v]

@@ -93,7 +93,11 @@ def _caps_from_env():
         if not part:
             continue
         key, _, val = part.partition('=')
-        caps[key.strip()] = int(val)
+        try:
+            caps[key.strip()] = int(val)
+        except ValueError:
+            raise UsageError(f"E_CAPS: COCYCLE_LAB_CAPS entry {part!r} "
+                             f"needs an integer value") from None
     return caps
 
 
@@ -119,8 +123,25 @@ def _movie_payload(movie):
     }
 
 
+def _explain_table(rep):
+    return [
+        {
+            'move': r.index,
+            'type': r.triple.global_type,
+            'marks': dict(r.triple.marks),
+            'sign': r.triple.sign,
+            'w2_p': r.w2p,
+            'l_p': r.lp,
+            'w2_hm': r.w2hm,
+            'contribution': r.contrib,
+        }
+        for r in rep.contributing()
+    ]
+
+
 def _report_payload(movie, n, explain=False):
-    values = evaluate_all(movie, n)
+    reports = evaluate_all(movie, n, report=True)
+    values = {a: rep.value for a, rep in reports.items()}
     coeffs = interpolation_polynomial(values)
     payload = {
         'n': n,
@@ -129,23 +150,8 @@ def _report_payload(movie, n, explain=False):
         'polynomial_text': polynomial_text(coeffs),
     }
     if explain:
-        tables = {}
-        for a in sorted(values):
-            rep = evaluate(movie, a, n, report=True)
-            tables[str(a)] = [
-                {
-                    'move': r.index,
-                    'type': r.triple.global_type,
-                    'marks': dict(r.triple.marks),
-                    'sign': r.triple.sign,
-                    'w2_p': r.w2p,
-                    'l_p': r.lp,
-                    'w2_hm': r.w2hm,
-                    'contribution': r.contrib,
-                }
-                for r in rep.rows if r.contrib != 0
-            ]
-        payload['moves'] = tables
+        payload['moves'] = {str(a): _explain_table(reports[a])
+                            for a in sorted(reports)}
     return payload
 
 
@@ -202,11 +208,13 @@ def _cmd_loops(args):
 def _cmd_eval(args):
     movie = _loop_movie(args)
     if args.a is not None:
-        value = evaluate(movie, args.a, args.n)
+        rep = evaluate(movie, args.a, args.n, report=True)
         if args.explain:
-            _emit(_report_payload(movie, args.n, explain=True), args.out)
+            key = str(args.a)
+            _emit({'n': args.n, 'values': {key: rep.value},
+                   'moves': {key: _explain_table(rep)}}, args.out)
         else:
-            print(value)
+            print(rep.value)
         return 0
     _emit(_report_payload(movie, args.n, explain=args.explain), args.out)
     return 0
@@ -347,10 +355,10 @@ def build_parser():
 
 
 def run(argv=None):
-    _apply_caps(_caps_from_env())
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _apply_caps(_caps_from_env())
         return args.func(args)
     except (UsageError, DiagramError, MoveError, HostError, PlannerError,
             oracle.OracleCapError, ValueError) as exc:

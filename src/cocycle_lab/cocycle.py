@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .annular import DiagramError
 from .gauss import match_n0_pairs
-from .moves import R3, r3_triple, MoveError
+from .moves import R3, r3_triple
 
 
 class CocycleError(ValueError):
@@ -185,6 +184,63 @@ class CocycleReport:
         return [r for r in self.rows if r.contrib != 0]
 
 
+def _rows(state, slot, index, n, avals):
+    """The report row of one triple point move for every a in avals.
+
+    Classification and the a-independent counts are done once; only the
+    (n, n, n) class needs l_p at the marking n - a of each a.
+    """
+    t = classify_r3(state, slot, n)
+    rows = {a: MoveRow(index=index, triple=t, contrib=0) for a in avals}
+    md, mhm, mml = t.marks['d'], t.marks['hm'], t.marks['ml']
+    if t.global_type != 'r' or mhm != n or md != mml:
+        return rows                 # neither (a, n, a) nor (n, n, n)
+    g = state.gauss()
+    if md == n:
+        w2hm = w2_hm(g, t, n)
+        for a in avals:
+            lp = l_p(g, t, n, n - a)
+            rows[a] = MoveRow(index=index, triple=t,
+                              contrib=-t.sign * lp * w2hm * t.w_hm,
+                              lp=lp, w2hm=w2hm)
+    elif md in rows:                # (a, n, a) at a = md only
+        w2p = w2_p(g, t, n)
+        w2hm = w2_hm(g, t, n)
+        lp = l_p(g, t, n, n)
+        rows[md] = MoveRow(index=index, triple=t,
+                           contrib=t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm),
+                           w2p=w2p, lp=lp, w2hm=w2hm)
+    return rows
+
+
+def walk(movie, avals, n=None):
+    """Replay a movie once and evaluate it at every a in avals.
+
+    Returns (final state, {a: CocycleReport}, error).  A triple point
+    move that cannot be classified ends the evaluation but not the
+    replay: its CocycleError comes back in place of None, so a caller can
+    still look at the final state.
+    """
+    if n is None:
+        n = movie.start.n
+    reports = {a: CocycleReport(n=n, a=a, value=0) for a in avals}
+    error = None
+    cur = movie.start
+    for index, mv in enumerate(movie.moves, 1):
+        nxt = mv.apply(cur)
+        if avals and isinstance(mv, R3) and error is None:
+            try:
+                rows = _rows(cur, mv.slot, index, n, avals)
+            except CocycleError as exc:
+                error = exc
+            else:
+                for a, row in rows.items():
+                    reports[a].rows.append(row)
+                    reports[a].value += row.contrib
+        cur = nxt
+    return cur, reports, error
+
+
 def evaluate(movie, a, n=None, report=False):
     """Value of the parameter-a cocycle on a movie.
 
@@ -195,40 +251,21 @@ def evaluate(movie, a, n=None, report=False):
         n = movie.start.n
     if not 0 < a < n:
         raise CocycleError(f"parameter a={a} outside 0 < a < {n}")
-    rows = []
-    total = 0
-    idx = 0
-    for before, mv, after in movie.steps():
-        idx += 1
-        if not isinstance(mv, R3):
-            continue
-        t = classify_r3(before, mv.slot, n)
-        g = before.gauss()
-        contrib = w2p = lp = w2hm = 0
-        if t.global_type == 'r':
-            md, mhm, mml = t.marks['d'], t.marks['hm'], t.marks['ml']
-            if (md, mhm, mml) == (a, n, a):
-                w2p = w2_p(g, t, n)
-                w2hm = w2_hm(g, t, n)
-                lp = l_p(g, t, n, n)
-                contrib = t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm)
-            elif (md, mhm, mml) == (n, n, n):
-                w2hm = w2_hm(g, t, n)
-                lp = l_p(g, t, n, n - a)
-                contrib = -t.sign * lp * w2hm * t.w_hm
-        total += contrib
-        rows.append(MoveRow(index=idx, triple=t, contrib=contrib,
-                            w2p=w2p, lp=lp, w2hm=w2hm))
-    if report:
-        return CocycleReport(n=n, a=a, value=total, rows=rows)
-    return total
+    _, reports, error = walk(movie, (a,), n)
+    if error is not None:
+        raise error
+    return reports[a] if report else reports[a].value
 
 
 def evaluate_all(movie, n=None, report=False):
-    """Values for every admissible parameter a = 1 .. n-1."""
+    """Values for every admissible parameter a = 1 .. n-1, from one
+    replay of the movie."""
     if n is None:
         n = movie.start.n
-    return {a: evaluate(movie, a, n, report=report) for a in range(1, n)}
+    _, reports, error = walk(movie, range(1, n), n)
+    if error is not None:
+        raise error
+    return {a: rep if report else rep.value for a, rep in reports.items()}
 
 
 def interpolation_polynomial(values):

@@ -229,8 +229,8 @@ def embedded_tangency_loops(diagram, over):
             continue
         try:
             host = create.apply(diagram)
-            host.validate()
-            host.check_no_negative_loops()
+            if not host.check_no_negative_loops()[0]:
+                continue
             movie = Movie(host, moves)
             movie.final()
         except (MoveError, DiagramError):

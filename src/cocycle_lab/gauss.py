@@ -13,6 +13,20 @@ import itertools
 import re
 
 
+class DiagramError(ValueError):
+    """Structural problem with a Morse word or diagram."""
+
+    def __init__(self, code, message):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+
+
+def ray_starts(tokens):
+    """Token indices of the ray passages: the rotations canonical forms
+    minimise over.  A diagram's walk starts on the ray, so every diagram
+    has one; a bare token list without any falls back to all rotations."""
+    return [i for i, tok in enumerate(tokens) if tok[0] == 'r'] or range(len(tokens))
+
 
 @dataclass
 class GaussDiagram:
@@ -90,14 +104,7 @@ class GaussDiagram:
     def canonical_tokens(self):
         """Cyclic-rotation-invariant token tuple, for planar-equality tests."""
         toks = tuple(self.tokens)
-        if not toks:
-            return toks
-        best = None
-        for r in range(len(toks)):
-            cand = toks[r:] + toks[:r]
-            if best is None or cand < best:
-                best = cand
-        return best
+        return min((toks[r:] + toks[:r] for r in ray_starts(toks)), default=toks)
 
     def text(self):
         words = []

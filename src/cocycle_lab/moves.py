@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annular import AnnularDiagram, MorseEvent, DiagramError
+from .annular import AnnularDiagram, MorseEvent
+from .gauss import GaussDiagram, ray_starts
 
 
 class MoveError(ValueError):
@@ -163,11 +164,39 @@ def r3_triple(events, slot):
     return a, b, c
 
 
+def _r3_strand_tokens(trip):
+    """For each strand of a triple point pattern, the two crossing tokens
+    it meets back to back, in event order.
+
+    The strands are followed through the pattern by position.  As in
+    the diagram traversal, at X(i) line 1 is the strand ascending from
+    i to i+1, and a line passes over (token 'h') exactly when it is
+    line 1 and the flag is '+', or line 2 and the flag is '-'.
+    """
+    base = min(ev.pos for ev in trip)
+    occupant = [0, 1, 2]
+    met = ([], [], [])
+    for ev in trip:
+        i = ev.pos - base
+        for line, strand in ((1, occupant[i]), (2, occupant[i + 1])):
+            kind = 'h' if (line == 1) == (ev.over == '+') else 'f'
+            met[strand].append((kind, ev.cid))
+        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+    return met
+
+
 @dataclass(frozen=True)
 class R3(Move):
     """Slide the middle strand across the crossing of the outer two:
     X(p) X(q) X(p)  ->  X(q) X(p) X(q)  with |p-q| = 1, flags kept in
-    reversed event order."""
+    reversed event order.
+
+    Each strand then meets its two crossings of the triangle in the
+    opposite order and with the same token kinds, so the Gauss data
+    changes by three transpositions of adjacent tokens.  The pair never
+    wraps around the token list: the walk starts (and, reversed, ends)
+    on a ray passage, and no ray passage lies inside the pattern.
+    """
 
     slot: int
 
@@ -183,7 +212,12 @@ class R3(Move):
             MorseEvent('X', b.pos, c.over, c.cid),
             MorseEvent('X', a.pos, b.over, b.cid),
             MorseEvent('X', b.pos, a.over, a.cid)]
-        return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+        g = diagram.gauss()
+        tokens = list(g.tokens)
+        for first, second in _r3_strand_tokens(trip):
+            i, j = g.position(*first), g.position(*second)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        return AnnularDiagram._derive(diagram, evs, GaussDiagram(tokens, g.signs))
 
 
 @dataclass(frozen=True)
@@ -213,7 +247,9 @@ class Exchange(Move):
     """Swap two adjacent crossing events acting on disjoint strand pairs.
 
     A special case of Rearrange with a constant-time validity check, used
-    heavily by the transport planners.
+    heavily by the transport planners.  Every strand still meets the
+    same crossings in the same order, so the Gauss diagram is the
+    parent's.
     """
 
     slot: int
@@ -226,7 +262,7 @@ class Exchange(Move):
         if a.kind != 'X' or b.kind != 'X' or abs(a.pos - b.pos) < 2:
             raise MoveError('E_EXCHANGE', "events share a strand")
         evs[self.slot], evs[self.slot + 1] = b, a
-        return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+        return AnnularDiagram._derive(diagram, evs, diagram.gauss())
 
 
 @dataclass(frozen=True)
@@ -257,11 +293,16 @@ def rearrange_to(events, w0):
 # Movies
 
 def canonical_gauss_key(gd):
-    """Gauss data up to rotation and renaming of crossing ids."""
+    """Gauss data up to rotation and renaming of crossing ids.
+
+    Minimises over the rotations that start at a ray passage only: two
+    token lists are rotations of each other exactly when their sets of
+    such rotations agree.
+    """
     toks = gd.tokens
     m = len(toks)
     best = None
-    for r in range(m):
+    for r in ray_starts(toks):
         names, seq = {}, []
         for i in range(m):
             kind, val = toks[(r + i) % m]
@@ -275,6 +316,12 @@ def canonical_gauss_key(gd):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def same_gauss(d1, d2):
+    """Do two diagrams have the same Gauss data up to rotation and
+    renaming of crossing ids?"""
+    return canonical_gauss_key(d1.gauss()) == canonical_gauss_key(d2.gauss())
 
 
 @dataclass
@@ -305,8 +352,7 @@ class Movie:
         return cur
 
     def is_closed(self):
-        return (canonical_gauss_key(self.final().gauss())
-                == canonical_gauss_key(self.start.gauss()))
+        return same_gauss(self.final(), self.start)
 
     def reversed(self):
         """The inverse loop.  Only moves with an evident inverse appear in

@@ -113,3 +113,23 @@ def test_caps_env(monkeypatch, capsys):
     monkeypatch.delenv('COCYCLE_LAB_CAPS')
     import cocycle_lab.oracle as oracle
     oracle.CROSSING_CAP = 16
+
+
+def test_bad_caps_env_is_a_coded_error(monkeypatch, capsys):
+    monkeypatch.setenv('COCYCLE_LAB_CAPS', 'crossings=abc')
+    assert run(['invariant', 'v2', '--knot', 'trefoil']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('cocycle-lab: E_CAPS:')
+
+
+def test_eval_explain_at_one_a(capsys):
+    argv = ['eval', '--push', '--tangle', 's1,s2', '--knot', 'trefoil',
+            '--n', '3', '--w1', '1', '--explain']
+    assert run(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert run(argv + ['--a', '2']) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {'n': 3, 'values': {'2': full['values']['2']},
+                       'moves': {'2': full['moves']['2']}}
+    assert sum(r['contribution'] for r in payload['moves']['2']) == 2

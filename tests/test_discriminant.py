@@ -87,3 +87,13 @@ def test_contractible_loop_is_seed_deterministic():
     a = random_contractible_loop(d, 6, 11)
     b = random_contractible_loop(d, 6, 11)
     assert [repr(m) for m in a.moves] == [repr(m) for m in b.moves]
+
+
+def test_embedded_tangency_loops_skip_hosts_with_negative_loops(monkeypatch):
+    from cocycle_lab.annular import AnnularDiagram
+    d = closed_cable(braid_events([1]),
+                     long_events(normalize_w1(LONG_TREFOIL, 1)), 2)
+    assert list(embedded_tangency_loops(d, '+'))
+    monkeypatch.setattr(AnnularDiagram, 'check_no_negative_loops',
+                        lambda self: (False, [1]))
+    assert list(embedded_tangency_loops(d, '+')) == []

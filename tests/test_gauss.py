@@ -1,6 +1,6 @@
 import pytest
 
-from cocycle_lab.annular import AnnularDiagram
+from cocycle_lab.annular import AnnularDiagram, DiagramError
 from cocycle_lab.cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TREFOIL,
                                  LONG_TORUS25, braid_events, closed_cable,
                                  long_events, normalize_w1)
@@ -85,3 +85,15 @@ def test_lift_untangles_the_cable():
 def test_lift_preserves_v2_of_companion_pattern():
     g = cable(LONG_TREFOIL, [1], 2)
     assert v2(lift_to_cover(g)) == v2(g)
+
+
+def test_parse_rejects_bad_token_and_bad_sign_line():
+    with pytest.raises(DiagramError) as err:
+        parse_gauss("* h1 x2 f1\nsigns: 1:+")
+    assert err.value.code == 'E_PARSE'
+    with pytest.raises(DiagramError) as err:
+        parse_gauss("* h1 f1\nsigns: 1:+ 2")
+    assert err.value.code == 'E_PARSE'
+    with pytest.raises(DiagramError) as err:
+        parse_gauss("* h1 f1\nsides: 1:+")
+    assert err.value.code == 'E_PARSE'

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cocycle_lab.annular import MorseEvent
-from cocycle_lab.cabling import (LONG_TREFOIL, braid_events, closed_cable,
-                                 long_events)
+from cocycle_lab.cabling import (LONG_MIRROR_TREFOIL, LONG_TREFOIL,
+                                 braid_events, closed_cable, long_events)
+from cocycle_lab.gauss import GaussDiagram
+from cocycle_lab.loops import push_loop
 from cocycle_lab.moves import (Movie, MoveError, R1Create, R1Delete, R2Create,
                                R2Delete, R3, RayShift, Rearrange,
                                canonical_gauss_key, r3_triple, rearrange_to)
@@ -132,3 +136,50 @@ def test_kink_roundtrip_random_slots(slot, over, variant):
         return
     d3 = R1Delete(slot).apply(d2)
     assert canonical_gauss_key(d3.gauss()) == canonical_gauss_key(d.gauss())
+
+
+def _all_rotations_key(gd):
+    """Reference key: the minimum over every rotation of the tokens."""
+    toks, best = gd.tokens, None
+    for r in range(len(toks)):
+        names, seq = {}, []
+        for kind, val in toks[r:] + toks[:r]:
+            if kind == 'r':
+                seq.append(('r', val))
+            else:
+                names.setdefault(val, len(names))
+                seq.append((kind, names[val], gd.signs[val]))
+        if best is None or tuple(seq) < best:
+            best = tuple(seq)
+    return best
+
+
+def test_canonical_key_ignores_rotation_and_renaming():
+    g = two_cable().gauss()
+    key, toks = canonical_gauss_key(g), g.tokens
+    rename = {cid: 100 - 3 * cid for cid in g.signs}
+    signs = {rename[c]: s for c, s in g.signs.items()}
+    for r in range(len(toks)):
+        rot = toks[r:] + toks[:r]
+        assert GaussDiagram(rot, g.signs).canonical_tokens() == g.canonical_tokens()
+        renamed = [(k, v if k == 'r' else rename[v]) for k, v in rot]
+        assert canonical_gauss_key(GaussDiagram(renamed, signs)) == key
+
+
+def test_canonical_key_separates_what_all_rotations_separate():
+    d = two_cable()
+    flipped = dict(d.gauss().signs)
+    flipped[min(flipped)] *= -1
+    diagrams = [g.gauss() for g in Movie(d, [R2Create(0, 1, '+')]).states()]
+    diagrams += [GaussDiagram(d.gauss().tokens, flipped), trefoil_ring().gauss(),
+                 closed_cable([], long_events(LONG_MIRROR_TREFOIL), 1).gauss()]
+    diagrams += [s.gauss() for s in push_loop([1], LONG_TREFOIL, 2).states()[::5]]
+    keys = [canonical_gauss_key(g) for g in diagrams]
+    ref = [_all_rotations_key(g) for g in diagrams]
+    assert len(set(keys)) > 3
+    for i, j in itertools.combinations(range(len(diagrams)), 2):
+        assert (keys[i] == keys[j]) == (ref[i] == ref[j])
+        same = diagrams[i].canonical_tokens() == diagrams[j].canonical_tokens()
+        rotated = any(diagrams[i].tokens == diagrams[j].tokens[r:] + diagrams[j].tokens[:r]
+                      for r in range(len(diagrams[j].tokens)))
+        assert same == rotated

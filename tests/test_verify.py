@@ -45,3 +45,37 @@ def test_report_summary_text():
     rep = verify.run_suite('prop1')
     assert 'prop1' in rep.summary()
     assert 'pass' in rep.summary()
+
+
+def _loop_and_open_path():
+    from cocycle_lab.discriminant import meridian_loop, quad_host, GLOBAL_TYPES
+    from cocycle_lab.moves import Movie
+    host, slot = quad_host(GLOBAL_TYPES[1], (0, 0, 0, 3), 3)
+    loop = meridian_loop(host, slot)
+    return loop, Movie(host, loop.moves[:1])
+
+
+def test_loop_check_counts_one_check_per_a():
+    loop, path = _loop_and_open_path()
+    rep = verify.SuiteReport('t')
+    verify._check_loop_zero(rep, loop, 'loop')
+    assert rep.passed and rep.checks == 2
+    verify._check_loop_zero(rep, path, 'path')
+    assert rep.checks == 2
+    assert [(f.case, f.detail) for f in rep.failures] == [('path', 'loop does not close')]
+
+
+def test_loop_check_reports_an_open_path_before_an_evaluation_error(monkeypatch):
+    from cocycle_lab import cocycle
+
+    def broken(*args, **kwargs):
+        raise cocycle.CocycleError("unclassifiable")
+
+    monkeypatch.setattr(cocycle, 'classify_r3', broken)
+    loop, path = _loop_and_open_path()
+    rep = verify.SuiteReport('t')
+    verify._check_loop_zero(rep, path, 'path')
+    assert [f.detail for f in rep.failures] == ['loop does not close']
+    with pytest.raises(cocycle.CocycleError):
+        verify._check_loop_zero(rep, loop, 'loop')
+    assert rep.checks == 0
