@@ -90,6 +90,85 @@ def format_morse(diagram):
     return ' ; '.join(ev.text() for ev in diagram.events)
 
 
+def fits(ev, width):
+    """Does the event fit on a slice of this many strands?"""
+    return ev.pos <= width + 1 if ev.kind == 'U' else ev.pos < width
+
+
+def strand_step(ev, forward, p):
+    """Follow a strand through one event.
+
+    The strand arrives at position p of the slice before ev (forward) or
+    after it (backward).  Returns (leaving, p2, line): whether it leaves
+    forward, at position p2, and the crossing line it runs along, 0 if
+    it meets no crossing.  At X(i) line 1 is the strand ascending from i
+    to i+1 and line 2 the other; a cup U(i) joins positions i, i+1 of
+    the slice after it, a cap A(i) those of the slice before it.
+    """
+    i = ev.pos
+    if ev.kind == 'X':
+        if p == i:
+            return forward, i + 1, 1 if forward else 2
+        if p == i + 1:
+            return forward, i, 2 if forward else 1
+        return forward, p, 0
+    if (ev.kind == 'U') == forward:     # passing the side without the turn
+        return forward, (p if p < i else p + 2), 0
+    if p == i:
+        return not forward, i + 1, 0
+    if p == i + 1:
+        return not forward, i, 0
+    return forward, (p if p < i else p - 2), 0
+
+
+def _token_kind(ev, line):
+    """'h' when the strand on this line of crossing ev passes over."""
+    return 'h' if (line == 1) == (ev.over == '+') else 'f'
+
+
+def window_strands(events, widths):
+    """The strand pieces of a window of events, walked from its boundary.
+
+    widths holds the strand count of every slice of the window, both
+    boundaries included.  Every piece is walked once, from the first of
+    its two boundary ports in the order left 1..w, right 1..w; a port is
+    (0, p) on the left boundary and (1, p) on the right one.  Returns
+    (pieces, signs): pieces maps each starting port to the port where the
+    piece leaves and the ('h'|'f', cid) tokens it meets; signs maps each
+    crossing to its sign relative to the walk directions.  Returns None
+    when some interior arc is on no piece, i.e. the window holds a
+    closed component of its own.
+    """
+    k = len(events)
+    pieces, passes, ends = {}, {}, set()
+    reached = 0
+    ports = [(0, p) for p in range(1, widths[0] + 1)]
+    ports += [(1, p) for p in range(1, widths[k] + 1)]
+    for start in ports:
+        if start in ends:
+            continue
+        p = start[1]
+        t, forward = (k, False) if start[0] else (0, True)
+        tokens = []
+        while t != (k if forward else 0):
+            ev_i = t if forward else t - 1
+            ev = events[ev_i]
+            leaving, p, line = strand_step(ev, forward, p)
+            if line:
+                passes.setdefault(ev.cid, (ev.over, {}))[1][line] = 1 if forward else -1
+                tokens.append((_token_kind(ev, line), ev.cid))
+            t, forward = (ev_i + 1 if leaving else ev_i), leaving
+            reached += 0 < t < k
+        end = (1 if forward else 0, p)
+        ends.add(end)
+        pieces[start] = (end, tuple(tokens))
+    if reached != sum(widths[1:k]):
+        return None
+    signs = {cid: d[1] * d[2] * (1 if over == '+' else -1)
+             for cid, (over, d) in passes.items()}
+    return pieces, signs
+
+
 # ---------------------------------------------------------------------------
 # The annular diagram proper
 
@@ -111,17 +190,18 @@ class AnnularDiagram:
         self.validate()
 
     @classmethod
-    def _derive(cls, parent, events, gauss):
+    def _derive(cls, parent, events, gauss, widths=None):
         """The state a local move leaves behind, built without validation.
 
-        Only for moves that keep every slice width and whose Gauss data
-        follows from the parent's by a local edit (Exchange, R3): the
-        parent was validated, so the derived state is as well.  It shares
-        the parent's n, w0 and widths.
+        Only for moves whose Gauss data follows from the parent's by a
+        local edit (Exchange, R3, a Rearrange that passed its window
+        check): the parent was validated, so the derived state is as
+        well.  It shares the parent's n and w0, and its widths unless the
+        move passes the new ones.
         """
         d = cls.__new__(cls)
         d.n, d.events, d.w0 = parent.n, events, parent.w0
-        d._widths = parent.widths()
+        d._widths = parent.widths() if widths is None else widths
         d._gauss = gauss
         return d
 
@@ -142,13 +222,9 @@ class AnnularDiagram:
     def validate(self):
         w = self.widths()
         for t, ev in enumerate(self.events):
-            wt = w[t]
-            if ev.kind == 'X' and ev.pos + 1 > wt:
-                raise DiagramError('E_POS', f"crossing at {ev.pos} exceeds width {wt}")
-            if ev.kind == 'A' and ev.pos + 1 > wt:
-                raise DiagramError('E_POS', f"cap at {ev.pos} exceeds width {wt}")
-            if ev.kind == 'U' and ev.pos > wt + 1:
-                raise DiagramError('E_POS', f"cup at {ev.pos} exceeds width {wt}")
+            if not fits(ev, w[t]):
+                name = {'X': 'crossing', 'A': 'cap', 'U': 'cup'}[ev.kind]
+                raise DiagramError('E_POS', f"{name} at {ev.pos} exceeds width {w[t]}")
         cids = [ev.cid for ev in self.events if ev.kind == 'X']
         if len(set(cids)) != len(cids):
             raise DiagramError('E_ID', "duplicate crossing ids")
@@ -156,100 +232,43 @@ class AnnularDiagram:
 
     # -- traversal ---------------------------------------------------------
 
-    def _event_pairing(self, ev):
-        """Port pairing of a single event: ports are (side, pos) with side
-        'in' (earlier slice) or 'out' (later slice)."""
-        pairs = {}
-
-        def link(a, b):
-            pairs[a] = b
-            pairs[b] = a
-
-        i = ev.pos
-        if ev.kind == 'X':
-            link(('in', i), ('out', i + 1))
-            link(('in', i + 1), ('out', i))
-        elif ev.kind == 'U':
-            link(('out', i), ('out', i + 1))
-        else:
-            link(('in', i), ('in', i + 1))
-        return pairs
-
-    def _through(self, ev, side, p):
-        """Pass-through port mapping for positions not touched by ev."""
-        i = ev.pos
-        if ev.kind == 'X':
-            return p
-        if ev.kind == 'U':
-            if side == 'in':
-                return p if p < i else p + 2
-            return p if p < i else p - 2
-        # cap
-        if side == 'in':
-            return p if p < i else p - 2
-        return p if p < i else p + 2
-
     def _traverse(self):
         if self._gauss is not None:
             return self._gauss
-        m = len(self.events)
-        w = self.widths() if m else [self.w0]
+        events = self.events
+        m = len(events)
         if m == 0:
             if self.w0 != 1:
                 raise DiagramError('E_COMPONENTS', "bare word must be a single ring")
-            tokens = [('r', 1)]
-            self._gauss = GaussDiagram(tokens, {})
+            self._gauss = GaussDiagram([('r', 1)], {})
             return self._gauss
+        w = self.widths()
 
-        pairings = [self._event_pairing(ev) for ev in self.events]
-        arcs = {(t, p) for t in range(m) for p in range(1, w[t] + 1)}
+        # walk the arcs (t, p): position p of slice t
         visited = set()
         tokens = []
         passes = {}  # cid -> {line: direction}
-
-        def cross_token(ev, side, p, entering_forward):
-            i = ev.pos
-            line = 1 if (side, p) in (('in', i), ('out', i + 1)) else 2
-            d = 1 if entering_forward else -1
-            passes.setdefault(ev.cid, {})[line] = d
-            head = (line == 1) == (ev.over == '+')
-            tokens.append(('h' if head else 'f', ev.cid))
-
-        # walk
-        start = (0, 1)
-        arc, forward = start, True
+        t, p, forward = 0, 1, True
         while True:
-            if (arc, forward) in visited:
+            if (t, p, forward) in visited:
                 raise DiagramError('E_TRAVERSE', "walk revisited an arc")
-            visited.add((arc, forward))
-            t, p = arc
+            visited.add((t, p, forward))
             if t == 0:
                 tokens.append(('r', 1 if forward else -1))
-            if forward:
-                ev_i = t            # arrives at event t 'in' port p
-                side, q = 'in', p
-            else:
-                ev_i = (t - 1) % m  # arrives at event t-1 'out' port p
-                side, q = 'out', p
-            ev = self.events[ev_i]
-            pairing = pairings[ev_i]
-            if (side, q) in pairing:
-                if ev.kind == 'X':
-                    cross_token(ev, side, q, side == 'in')
-                side2, r = pairing[(side, q)]
-            else:
-                side2, r = ('out' if side == 'in' else 'in'), self._through(ev, side, q)
-            if side2 == 'out':
-                arc, forward = ((ev_i + 1) % m, r), True
-            else:
-                arc, forward = (ev_i, r), False
-            if (arc, forward) == (start, True):
+            ev_i = t if forward else (t - 1) % m
+            ev = events[ev_i]
+            leaving, p, line = strand_step(ev, forward, p)
+            if line:
+                passes.setdefault(ev.cid, {})[line] = 1 if forward else -1
+                tokens.append((_token_kind(ev, line), ev.cid))
+            t, forward = ((ev_i + 1) % m if leaving else ev_i), leaving
+            if forward and t == 0 and p == 1:
                 break
 
-        half = {a for a, _ in visited}
-        if half != arcs:
+        if {(t, p) for t, p, _ in visited} != {
+                (t, p) for t in range(m) for p in range(1, w[t] + 1)}:
             raise DiagramError('E_COMPONENTS', "diagram is not a single knot")
-        if len(visited) != len(arcs):
+        if len(visited) != sum(w):
             raise DiagramError('E_TRAVERSE', "inconsistent traversal")
 
         if sum(s for k, s in tokens if k == 'r') < 0:
@@ -260,7 +279,7 @@ class AnnularDiagram:
                     d[line] = -d[line]
 
         signs = {}
-        for ev in self.events:
+        for ev in events:
             if ev.kind != 'X':
                 continue
             d = passes.get(ev.cid, {})

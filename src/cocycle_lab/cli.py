@@ -228,6 +228,9 @@ def _cmd_pairing(args):
 
 
 def _cmd_verify(args):
+    if args.suite and args.n is not None and args.suite not in verify.SUITES_WITH_N:
+        raise UsageError(f"E_ARGS: suite {args.suite!r} takes no --n; "
+                         f"only {' and '.join(verify.SUITES_WITH_N)} do")
     names = [args.suite] if args.suite else list(verify.SUITES)
     params = {}
     if args.n is not None:
@@ -332,7 +335,9 @@ def build_parser():
 
     p = sub.add_parser('verify', help='run property suites')
     p.add_argument('--suite', choices=sorted(verify.SUITES), default=None)
-    p.add_argument('--n', type=int, default=None)
+    p.add_argument('--n', type=int, default=None,
+                   help='class n of the loops; used by the '
+                        f"{' and '.join(verify.SUITES_WITH_N)} suites only")
     p.add_argument('--report', default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
-from .moves import (Exchange, Movie, MoveError, R1Create, R1Delete, R2Create,
-                    R2Delete, R3, RayShift, rearrange_to)
+from .moves import (Exchange, Movie, MoveError, R2Create, R2Delete, R3,
+                    r3_triple)
 
 # half twist word the meridian starts from, and the walk around the
 # octagon: ('B', k) is a triple point move at word offset k, ('C', k) a
@@ -268,7 +268,6 @@ def random_contractible_loop(host, length, seed):
 
 
 def _applicable_moves(d, rng):
-    from .moves import r3_triple
     evs = d.events
     out = []
     for s in range(len(evs) - 2):
@@ -301,71 +300,3 @@ def _applicable_moves(d, rng):
         except (MoveError, DiagramError):
             pass
     return out
-
-
-# ---------------------------------------------------------------------------
-# The loop that carries a marked kink across a transverse strand
-
-# Edit script for sliding a full-marking kink across the neighbouring
-# cable strand: kink birth on one side, tangency with the strand, the
-# strand passes the kink crossing, tangency undone, kink death on the
-# other side.  Slots and positions refer to the front of the word, so
-# the script replays on any host whose word starts with a crossing of
-# the two lowest cable strands.  Found once by search over slide
-# rearrangements and frozen as data; 'swap' exchanges two adjacent
-# commuting events (with position offsets), 'zigin'/'zigout' insert and
-# cancel a birth-death pair.
-KINK_PASSAGE_SCRIPT = None
-
-
-def _apply_edit(d, e):
-    evs = list(d.events)
-    k = e[0]
-    if k == 'r1c':
-        mv = R1Create(e[1], e[2], e[3], e[4])
-    elif k == 'r1d':
-        mv = R1Delete(e[1])
-    elif k == 'r2c':
-        mv = R2Create(e[1], e[2], e[3])
-    elif k == 'r2d':
-        mv = R2Delete(e[1])
-    elif k == 'r3':
-        mv = R3(e[1])
-    elif k == 'zigin':
-        _, i, k1, p1, k2, p2 = e
-        w = evs[:i] + [MorseEvent(k1, p1), MorseEvent(k2, p2)] + evs[i:]
-        mv = rearrange_to(w, d.w0)
-    elif k == 'zigout':
-        w = evs[:e[1]] + evs[e[1] + 2:]
-        mv = rearrange_to(w, d.w0)
-    elif k == 'swap':
-        _, i, da, db = e
-        a, b = evs[i], evs[i + 1]
-        w = evs[:i] + [MorseEvent(b.kind, b.pos + db, b.over, b.cid),
-                       MorseEvent(a.kind, a.pos + da, a.over, a.cid)] + evs[i + 2:]
-        mv = rearrange_to(w, d.w0)
-    else:
-        raise HostError(f"unknown edit {e!r}")
-    return mv, mv.apply(d)
-
-
-def kink_passage_loop(long_text, script=None):
-    """Closed loop on the 2-cable of a long knot in which a kink of full
-    marking crosses the closing braid strand once.
-
-    Exactly one triple point move occurs; its contribution picks up the
-    degree-two invariant of the knot lifted to the double cover, so the
-    loop separates satellites that plain counting cannot.
-    """
-    from .cabling import braid_events, closed_cable, long_events
-    if script is None:
-        script = KINK_PASSAGE_SCRIPT
-    if script is None:
-        raise HostError("no kink passage script available")
-    host = closed_cable(braid_events([1]), long_events(long_text), 2)
-    cur = host
-    moves = []
-    for e in script:
-        mv, cur = _apply_edit(cur, e)
-        moves.append(mv)
-    return Movie(host, moves)

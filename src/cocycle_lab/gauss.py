@@ -35,6 +35,11 @@ class GaussDiagram:
     tokens is the cyclic sequence met along the knot: ('h', cid) for an
     overpass, ('f', cid) for an underpass, ('r', +1/-1) for a signed ray
     passage.  signs maps crossing ids to the crossing sign.
+
+    Nothing changes tokens or signs after construction: moves that edit
+    the Gauss data build a new diagram, and states whose Gauss data a
+    move keeps share this object.  So the token positions and the
+    markings are computed once per diagram and carry along a movie.
     """
 
     tokens: list
@@ -45,6 +50,7 @@ class GaussDiagram:
         for idx, tok in enumerate(self.tokens):
             if tok[0] in ('h', 'f'):
                 self._pos[(tok[0], tok[1])] = idx
+        self._marks = None
 
     @property
     def chords(self):
@@ -57,25 +63,26 @@ class GaussDiagram:
     def position(self, end, cid):
         return self._pos[(end, cid)]
 
-    def arc_ray_sum(self, start, stop):
-        """Signed ray passages on the open arc from token index start to
-        stop, walking in token order (exclusive at both ends)."""
-        total = 0
-        i = (start + 1) % len(self.tokens)
-        while i != stop:
-            tok = self.tokens[i]
-            if tok[0] == 'r':
-                total += tok[1]
-            i = (i + 1) % len(self.tokens)
-        return total
-
     def marking(self, cid):
         """Winding number of the positive smoothing at cid: the signed ray
         count on the arc from the overpass to the underpass."""
-        return self.arc_ray_sum(self.position('h', cid), self.position('f', cid))
+        return self.markings()[cid]
 
     def markings(self):
-        return {cid: self.marking(cid) for cid in self.signs}
+        """The marking of every crossing, read off one prefix sum of ray
+        passages over the tokens.  The dict is shared; do not modify it."""
+        if self._marks is None:
+            before, total = [], 0
+            for kind, val in self.tokens:
+                before.append(total)
+                if kind == 'r':
+                    total += val
+            marks = {}
+            for cid in self.signs:
+                h, f = self._pos[('h', cid)], self._pos[('f', cid)]
+                marks[cid] = before[f] - before[h] + (total if h > f else 0)
+            self._marks = marks
+        return self._marks
 
     def in_open_arc(self, idx, start, stop):
         """Is token index idx strictly inside the arc start -> stop?"""
@@ -275,52 +282,3 @@ def lift_to_cover(diagram, n=None):
         elif tok[1] in keep:
             tokens.append(tok)
     return GaussDiagram(tokens, {c: diagram.signs[c] for c in keep})
-
-
-# ---------------------------------------------------------------------------
-# Generic arrow-formula evaluation
-
-@dataclass(frozen=True)
-class ArrowFormula:
-    """An arrow-counting pattern.
-
-    markings gives the required marking per abstract arrow, with 'n'
-    standing for the diagram's own class.  pattern is the cyclic order of
-    the endpoints as ('h'|'f', arrow index) tokens.
-    """
-
-    markings: tuple
-    pattern: tuple
-
-    def resolve(self, n):
-        return tuple(n if m == 'n' else m for m in self.markings)
-
-
-# the interleaved (class, 0) pair pattern behind the degree-two invariant
-N0_FORMULA = ArrowFormula(markings=('n', 0),
-                          pattern=(('f', 0), ('h', 1), ('h', 0), ('f', 1)))
-
-
-def eval_arrow_formula(diagram, formula, n=None):
-    """Sum of sign products over all embeddings of the pattern.
-
-    An embedding assigns distinct crossings of the required markings to
-    the formula's arrows so that all pattern endpoints sit in the given
-    cyclic order.
-    """
-    if n is None:
-        n = diagram.homology_class
-    marks = diagram.markings()
-    need = formula.resolve(n)
-    pools = [[c for c in diagram.signs if marks[c] == m] for m in need]
-    total = 0
-    for combo in itertools.product(*pools):
-        if len(set(combo)) != len(combo):
-            continue
-        idxs = [diagram.position(kind, combo[k]) for kind, k in formula.pattern]
-        if diagram.cyclic_order(idxs):
-            w = 1
-            for c in combo:
-                w *= diagram.signs[c]
-            total += w
-    return total

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .annular import AnnularDiagram, MorseEvent
 from .cabling import braid_events, full_twist_word, long_events, n_cable, renumber
-from .moves import (Exchange, Movie, MoveError, R3, RayShift, Rearrange,
-                    rearrange_to, r3_triple)
+from .moves import Exchange, Movie, R3, RayShift, Rearrange
 
 
 class PlannerError(RuntimeError):
@@ -159,11 +158,8 @@ class _Transport:
 
     def _swap_units(self, left, right, new_left_events, new_right_events):
         """Rearrange exchanging two adjacent units, with rewritten events."""
-        s = self.slot_of(left)
-        evs = list(self.cur.events)
-        tail = s + len(new_left_events) + len(new_right_events)
-        evs[s:tail] = new_right_events + new_left_events
-        self.emit(rearrange_to(evs, self.cur.w0))
+        window = tuple(new_right_events + new_left_events)
+        self.emit(Rearrange(self.slot_of(left), len(window), window))
         self.units[left], self.units[right] = self.units[right], self.units[left]
 
     # -- elementary compiled steps ------------------------------------
@@ -211,13 +207,14 @@ class _Transport:
         q, n = v.q, self.n
         if self.b not in (q, q + n):
             raise PlannerError("turn from a stray bundle")
-        mov = self.mover_events()
         new_mov = [MorseEvent('X', 2 * q + 2 * n - 2 - e.pos, e.over, e.cid)
-                   for e in reversed(mov)]
-        s = self.slot_of(self.mi)
-        evs = list(self.cur.events)
-        evs[s:s + len(mov)] = new_mov
-        self.emit(rearrange_to(evs, self.cur.w0))
+                   for e in reversed(self.mover_events())]
+        # the window holds the turnback too: the mover alone reconnects
+        # its strands differently at the window boundary
+        vs = self.slot_of(other)
+        vevs = self.cur.events[vs:vs + v.length]
+        window = tuple(new_mov + vevs if self.d == 1 else vevs + new_mov)
+        self.emit(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
         self.b = q + n if self.b == q else q
         self.d = -self.d
 
@@ -299,9 +296,7 @@ class _Transport:
                     cid = pair_cid[frozenset((('B', j), ('A', n - step)))]
                     out.append(MorseEvent('X', pos, over, cid))
         if out != evs:
-            whole = list(self.cur.events)
-            whole[s:s + v.length] = out
-            self.emit(rearrange_to(whole, self.cur.w0))
+            self.emit(Rearrange(s, v.length, tuple(out)))
 
     def ray_pass(self):
         k = self.mover().length

@@ -3,21 +3,27 @@
 A movie is a finite sequence of moves applied to a start diagram.  The
 move set: the three Reidemeister moves (kink create/delete, tangency
 create/delete, triple point), sliding an event across the ray, and a
-planar rearrangement that may reorder events arbitrarily as long as the
-marked Gauss diagram is unchanged.  The last one covers everything a
-generic isotopy of the annulus does between Reidemeister strata: height
-exchanges of distant events, slides past cups and caps, U-turns of a
-tangle around a turnback, zigzag cancellation.
+planar rearrangement that replaces a window of consecutive events by
+any other word as long as the marked Gauss diagram is unchanged.  The
+last one covers everything a generic isotopy of the annulus does
+between Reidemeister strata: height exchanges of distant events, slides
+past cups and caps, U-turns of a tangle around a turnback, zigzag
+cancellation.
 
 Slots index the gaps of the cyclic event word: slot t sits just before
 event t, slot 0 at the ray.
+
+Moves whose effect on the Gauss diagram is local (Exchange, R3 and a
+Rearrange that passes its window check) build the state they leave
+behind from their parent's without walking the whole diagram again;
+every other move builds and validates its result in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annular import AnnularDiagram, MorseEvent
+from .annular import AnnularDiagram, MorseEvent, fits, window_strands
 from .gauss import GaussDiagram, ray_starts
 
 
@@ -267,26 +273,60 @@ class Exchange(Move):
 
 @dataclass(frozen=True)
 class Rearrange(Move):
-    """Replace the whole event word, keeping the marked Gauss diagram.
+    """Replace the count events at slot by events, keeping the marked
+    Gauss diagram and w0.
 
     Any isotopy of the annulus that crosses no Reidemeister stratum and
-    keeps the diagram transverse to the ray acts this way; validity is
-    checked extensionally, by comparing Gauss data before and after.
+    keeps the diagram transverse to the ray acts this way.  The window
+    is checked first: the new events must have the old boundary widths
+    and fit their slices, and the strand pieces walked from every
+    boundary port must leave at the same port, meet the same tokens
+    (hence the same crossing ids) and give every crossing the same
+    relative sign, with no interior arc left over.  Then the Gauss
+    diagram is the parent's, and only the window's widths change.  A
+    window that fails this may still be planar through the rest of the
+    word, so validity is then decided extensionally: the whole word is
+    rebuilt and its Gauss data compared with the parent's.
     """
 
+    slot: int
+    count: int
     events: tuple
-    w0: int
+
+    def window_widths(self, diagram):
+        """Widths of the slices before the new events when the window
+        check accepts the edit, else None."""
+        evs, w = diagram.events, diagram.widths()
+        s, e = self.slot, self.slot + self.count
+        right = w[e] if e < len(evs) else diagram.w0
+        new = [w[s] if s < len(evs) else diagram.w0]
+        for ev in self.events:
+            if not fits(ev, new[-1]):
+                return None
+            new.append(new[-1] + ev.delta)
+        if new[-1] != right:
+            return None
+        after = window_strands(self.events, new)
+        if after is None or after != window_strands(evs[s:e], w[s:e] + [right]):
+            return None
+        return new[:-1]
 
     def apply(self, diagram):
-        out = AnnularDiagram(diagram.n, list(self.events), w0=self.w0)
-        g0, g1 = diagram.gauss(), out.gauss()
+        evs = diagram.events
+        s, e = self.slot, self.slot + self.count
+        if s < 0 or not s <= e <= len(evs):
+            raise MoveError('E_REARRANGE', "window out of range")
+        out = evs[:s] + list(self.events) + evs[e:]
+        widths = self.window_widths(diagram)
+        if widths is not None:
+            w = diagram.widths()
+            return AnnularDiagram._derive(diagram, out, diagram.gauss(),
+                                          w[:s] + widths + w[e:])
+        full = AnnularDiagram(diagram.n, out, w0=diagram.w0)
+        g0, g1 = diagram.gauss(), full.gauss()
         if g0.canonical_tokens() != g1.canonical_tokens() or g0.signs != g1.signs:
             raise MoveError('E_PLANAR', "rearrangement changes the Gauss diagram")
-        return out
-
-
-def rearrange_to(events, w0):
-    return Rearrange(tuple(events), w0)
+        return full
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +425,8 @@ def _invert(mv, state_before):
     if isinstance(mv, RayShift):
         return RayShift(-mv.direction)
     if isinstance(mv, Rearrange):
-        return rearrange_to(state_before.events, state_before.w0)
+        old = state_before.events[mv.slot:mv.slot + mv.count]
+        return Rearrange(mv.slot, len(mv.events), tuple(old))
     raise MoveError('E_INVERT', f"cannot invert {mv!r}")
 
 

@@ -303,6 +303,9 @@ def suite_ckr_oracle(params=None):
     return rep
 
 
+# the suites that read params['ns'], the class n of their loops
+SUITES_WITH_N = ("tetrahedron", "cube")
+
 SUITES = {
     "tetrahedron": suite_tetrahedron,
     "cube": suite_cube,
@@ -314,7 +317,7 @@ SUITES = {
 }
 
 
-def run_suite(name, corpus=None, params=None):
+def run_suite(name, params=None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
     return SUITES[name](params)

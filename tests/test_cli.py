@@ -133,3 +133,17 @@ def test_eval_explain_at_one_a(capsys):
     assert payload == {'n': 3, 'values': {'2': full['values']['2']},
                        'moves': {'2': full['moves']['2']}}
     assert sum(r['contribution'] for r in payload['moves']['2']) == 2
+
+
+def test_verify_n_for_a_suite_without_n_is_a_usage_error(capsys):
+    assert run(['verify', '--suite', 'prop1', '--n', '3']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('cocycle-lab: E_ARGS:')
+
+
+def test_verify_n_applies_to_suites_that_take_it(capsys):
+    assert run(['verify', '--suite', 'tetrahedron', '--n', '2']) == 0
+    assert 'tetrahedron: pass (60 checks' in capsys.readouterr().out
+    help_text = build_parser()._subparsers._group_actions[0].choices['verify'].format_help()
+    assert 'tetrahedron and cube suites only' in ' '.join(help_text.split())

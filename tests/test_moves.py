@@ -10,7 +10,7 @@ from cocycle_lab.gauss import GaussDiagram
 from cocycle_lab.loops import push_loop
 from cocycle_lab.moves import (Movie, MoveError, R1Create, R1Delete, R2Create,
                                R2Delete, R3, RayShift, Rearrange,
-                               canonical_gauss_key, r3_triple, rearrange_to)
+                               canonical_gauss_key, r3_triple)
 
 
 def trefoil_ring():
@@ -88,7 +88,7 @@ def test_rearrange_validates_extensionally():
              and abs(evs[i].pos - evs[i + 1].pos) == 1)
     bad = evs[:i] + [evs[i + 1], evs[i]] + evs[i + 2:]
     with pytest.raises(MoveError):
-        rearrange_to(bad, d.w0).apply(d)
+        Rearrange(0, len(evs), tuple(bad)).apply(d)
 
 
 def test_rearrange_allows_distant_swap():
@@ -98,7 +98,7 @@ def test_rearrange_allows_distant_swap():
              if evs[i].kind == 'X' and evs[i + 1].kind == 'X'
              and abs(evs[i].pos - evs[i + 1].pos) >= 2)
     good = evs[:i] + [evs[i + 1], evs[i]] + evs[i + 2:]
-    d2 = rearrange_to(good, d.w0).apply(d)
+    d2 = Rearrange(0, len(evs), tuple(good)).apply(d)
     assert len(d2.events) == len(d.events)
 
 

@@ -1,12 +1,14 @@
 """Differential test of movie replay.
 
-Exchange and R3 derive the state they leave behind from the parent's
-Gauss data instead of traversing the diagram again.  After every move
-of every movie here, the replayed state must agree with the same event
-word built from scratch by the public, fully validating constructor.
+Exchange, R3 and a Rearrange that passes its window check derive the
+state they leave behind from the parent's Gauss data instead of
+traversing the diagram again.  After every move of every movie here,
+the replayed state must agree with the same event word built from
+scratch by the public, fully validating constructor.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,8 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import Exchange, MoveError, R2Create, R3, r3_triple
+from cocycle_lab.moves import (Exchange, Movie, MoveError, R2Create, R3,
+                               RayShift, Rearrange, r3_triple)
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
@@ -36,25 +39,170 @@ def assert_matches_reference(state, where):
 
 
 def assert_replay_matches(movie):
-    """Replay the movie; returns how many R3 moves it made."""
+    """Replay the movie; returns how many R3 moves it made.
+
+    Every Rearrange must pass its window check, so that it takes the
+    local path."""
     cur, r3s = movie.start, 0
     for k, mv in enumerate(movie.moves, 1):
+        if isinstance(mv, Rearrange):
+            assert mv.window_widths(cur) is not None, f"move {k} {mv!r}"
         cur = mv.apply(cur)
         r3s += isinstance(mv, R3)
         assert_matches_reference(cur, f"after move {k} {mv!r}")
     return r3s
 
 
+def assert_planner_replay_matches(movie):
+    """Planner movies make R3 moves and planner rearrangements."""
+    assert assert_replay_matches(movie) > 0
+    assert any(isinstance(mv, Rearrange) for mv in movie.moves)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_push_loops(n):
-    assert assert_replay_matches(push_loop(list(range(1, n)), TREFOIL1, n)) > 0
+    assert_planner_replay_matches(push_loop(list(range(1, n)), TREFOIL1, n))
 
 
 @pytest.mark.parametrize("planner", [rotation_loop, scan_path,
                                      push_full_twist_loop])
 @pytest.mark.parametrize("knot", [TREFOIL1, FIG8_M1], ids=["trefoil", "fig8"])
 def test_rotation_scan_and_twist_loops(planner, knot):
-    assert assert_replay_matches(planner([1], knot, 2)) > 0
+    assert_planner_replay_matches(planner([1], knot, 2))
+
+
+def test_replay_validates_only_start_and_ray_shifts(monkeypatch):
+    movie = push_loop([1, 2], TREFOIL1, 3)
+    start = movie.start
+    calls = Counter()
+    validate = AnnularDiagram.validate
+
+    def counted(self):
+        calls['validate'] += 1
+        return validate(self)
+
+    monkeypatch.setattr(AnnularDiagram, 'validate', counted)
+    fresh = AnnularDiagram(start.n, list(start.events), w0=start.w0)
+    Movie(fresh, movie.moves).final()
+    shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
+    assert shifts > 0 and calls['validate'] == 1 + shifts
+
+
+def _turn_windows(movie):
+    """(state, move, mover-only move) for each planner turn of a movie.
+
+    A turn rewrites the mover next to a cup or cap family and keeps the
+    family; its window holds both."""
+    cur = movie.start
+    for mv in movie.moves:
+        old = cur.events[mv.slot:mv.slot + mv.count] if isinstance(mv, Rearrange) else []
+        for k in range(1, len(old)):
+            for keep, lo in ((slice(None, k), k), (slice(k, None), 0)):
+                hi = lo + len(old) - k
+                if (old[keep] == list(mv.events[keep])
+                        and all(ev.kind != 'X' for ev in old[keep])
+                        and all(ev.kind == 'X' for ev in old[lo:hi])):
+                    yield cur, mv, Rearrange(mv.slot + lo, hi - lo, mv.events[lo:hi])
+        cur = mv.apply(cur)
+
+
+def test_mover_only_turn_window_falls_back_to_the_full_check():
+    turns = list(_turn_windows(push_loop([1], TREFOIL1, 2)))
+    assert len(turns) >= 2
+    for state, mv, mover_only in turns:
+        assert mv.window_widths(state) is not None
+        assert mover_only.window_widths(state) is None
+        got, want = mover_only.apply(state), mv.apply(state)
+        assert got.events == want.events
+        assert_matches_reference(got, f"{mover_only!r}")
+
+
+def _two_cable():
+    return closed_cable(braid_events([1]), long_events(TREFOIL1), 2)
+
+
+def _flip(ev):
+    return MorseEvent('X', ev.pos, '-' if ev.over == '+' else '+', ev.cid)
+
+
+def test_window_edits_that_change_the_gauss_diagram_are_rejected():
+    d = _two_cable()
+    evs = d.events
+    i = next(i for i in range(len(evs) - 1)
+             if evs[i].kind == evs[i + 1].kind == 'X'
+             and abs(evs[i].pos - evs[i + 1].pos) == 1)
+    cup = next(i for i, ev in enumerate(evs) if ev.kind == 'U' and ev.pos > 1)
+    # a kink of the framed trefoil: dropping its crossing leaves one knot
+    curl = closed_cable([], long_events(normalize_w1(LONG_TREFOIL, 3)), 1)
+    j = next(j for j, ev in enumerate(curl.events[1:-1], 1)
+             if ev.kind == 'X' and curl.events[j - 1].kind == 'U'
+             and curl.events[j + 1].kind == 'A')
+    cases = [
+        # two crossings sharing a strand, swapped
+        (d, Rearrange(i, 2, (evs[i + 1], evs[i])), 'E_PLANAR'),
+        # one over flag flipped
+        (d, Rearrange(i, 1, (_flip(evs[i]),)), 'E_PLANAR'),
+        # a crossing dropped
+        (curl, Rearrange(j, 1, ()), 'E_PLANAR'),
+        # a cup moved below the other strands: no crossing is met, but
+        # the strands reconnect
+        (d, Rearrange(cup, 1, (MorseEvent('U', 1),)), 'E_PLANAR'),
+        # a closed circle added inside the window
+        (d, Rearrange(cup, 0, (MorseEvent('U', 1), MorseEvent('A', 1))),
+         'E_COMPONENTS'),
+    ]
+    for host, mv, code in cases:
+        assert mv.window_widths(host) is None, mv
+        with pytest.raises((MoveError, DiagramError)) as err:
+            mv.apply(host)
+        assert err.value.code == code, mv
+
+
+def test_window_outside_the_word_is_rejected():
+    d = _two_cable()
+    for slot, count in ((-1, 1), (len(d.events), 1), (3, -1)):
+        with pytest.raises(MoveError) as err:
+            Rearrange(slot, count, ()).apply(d)
+        assert err.value.code == 'E_REARRANGE'
+
+
+def _full_rearrange(d, mv):
+    """The extensional check alone: rebuild the word, compare Gauss data."""
+    evs = d.events[:mv.slot] + list(mv.events) + d.events[mv.slot + mv.count:]
+    out = AnnularDiagram(d.n, evs, w0=d.w0)
+    if (out.gauss().canonical_tokens() != d.gauss().canonical_tokens()
+            or out.gauss().signs != d.gauss().signs):
+        raise MoveError('E_PLANAR', "changed")
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_check_accepts_only_what_the_full_check_accepts(data):
+    # random reorderings, with position shifts, of a short window of a
+    # state of a push loop
+    states = push_loop([1], TREFOIL1, 2).states()
+    d = data.draw(st.sampled_from(states[::3]), label="state")
+    evs = d.events
+    k = data.draw(st.integers(1, 4), label="count")
+    s = data.draw(st.integers(0, len(evs) - k), label="slot")
+    order = data.draw(st.permutations(range(k)), label="order")
+    shifts = st.sampled_from((0, 0, 0, -2, -1, 1, 2))
+    window = tuple(MorseEvent(evs[s + i].kind,
+                              max(1, evs[s + i].pos + data.draw(shifts)),
+                              evs[s + i].over, evs[s + i].cid) for i in order)
+    mv = Rearrange(s, k, window)
+    try:
+        want = _full_rearrange(d, mv)
+    except (MoveError, DiagramError) as exc:
+        assert mv.window_widths(d) is None
+        with pytest.raises(type(exc)) as err:
+            mv.apply(d)
+        assert err.value.code == exc.code
+        return
+    got = mv.apply(d)
+    assert got.events == want.events
+    assert_matches_reference(got, repr(mv))
 
 
 def test_tetrahedron_loops():
