@@ -169,6 +169,63 @@ def window_strands(events, widths):
     return pieces, signs
 
 
+def _walk_to_crossing(events, t, p, forward, ray_here):
+    """Follow the strand at position p of slice t in one word direction
+    up to the first crossing it meets.
+
+    ray_here says that the starting arc lies on the ray and that its ray
+    passage counts on this side of the cut.  Returns the crossing's
+    ('h'|'f', cid) token, the number of ray passages on the way and the
+    position of the first of them (None if there is none).
+    """
+    m = len(events)
+    rays, first = (1, p) if ray_here else (0, None)
+    while True:
+        ev_i = t % m if forward else (t - 1) % m
+        ev = events[ev_i]
+        leaving, p, line = strand_step(ev, forward, p)
+        if line:
+            return (_token_kind(ev, line), ev.cid), rays, first
+        t, forward = (ev_i + 1 if leaving else ev_i), leaving
+        if t % m == 0:
+            rays += 1
+            if first is None:
+                first = p
+
+
+def token_gap(diagram, slot, p):
+    """Where the strand at position p of slice slot runs through the
+    Gauss tokens of the diagram.
+
+    slot ranges over 0..len(events): a cut at slot 0 lies just after the
+    ray slice, one at slot len(events) just before it.  The strand is
+    walked in both word directions to its nearest crossings; their token
+    positions and the ray passages in between give the gap.  Returns
+    (j, d): tokens met at the cut go in at index j, and d is +1 when the
+    knot runs word-forward there, -1 when it runs backward.  A cut
+    between the last and the first token goes at the end when the list
+    starts with the ray passage at position 1 right after the cut, else
+    at the start (the list is stored reversed when the walk from that
+    passage ran against the orientation).  Returns None when the tokens
+    do not decide it: no crossing at all, or both directions fit.
+    """
+    g = diagram.gauss()
+    if not g.signs:
+        return None
+    events, size = diagram.events, len(g.tokens)
+    ahead, ra, fa = _walk_to_crossing(events, slot, p, True, slot == len(events))
+    behind, rb, fb = _walk_to_crossing(events, slot, p, False, slot == 0)
+    ia, ib = g.position(*ahead), g.position(*behind)
+    along = (ia - ib - ra - rb - 1) % size == 0
+    against = (ib - ia - ra - rb - 1) % size == 0
+    if along == against:
+        return None
+    j, first = ((ib + rb + 1) % size, fa) if along else ((ia + ra + 1) % size, fb)
+    if j == 0 and first == 1:
+        j = size
+    return j, 1 if along else -1
+
+
 # ---------------------------------------------------------------------------
 # The annular diagram proper
 
@@ -194,10 +251,10 @@ class AnnularDiagram:
         """The state a local move leaves behind, built without validation.
 
         Only for moves whose Gauss data follows from the parent's by a
-        local edit (Exchange, R3, a Rearrange that passed its window
-        check): the parent was validated, so the derived state is as
-        well.  It shares the parent's n and w0, and its widths unless the
-        move passes the new ones.
+        local edit (Exchange, R3, R2Create, R2Delete, a Rearrange that
+        passed its window check): the parent was validated, so the
+        derived state is as well.  It shares the parent's n and w0, and
+        its widths unless the move passes the new ones.
         """
         d = cls.__new__(cls)
         d.n, d.events, d.w0 = parent.n, events, parent.w0

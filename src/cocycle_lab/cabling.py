@@ -12,6 +12,7 @@ cocycle machinery evaluates on.
 from __future__ import annotations
 
 from .annular import AnnularDiagram, MorseEvent, parse_morse
+from .moves import R1Create
 
 
 def braid_events(word, over=None, cid_start=1):
@@ -89,18 +90,11 @@ def closed_cable(tangle_events, long_events, n):
     return AnnularDiagram(n, events, w0=n)
 
 
-def kink_events(pos, over, variant='above'):
-    if variant == 'above':
-        return [MorseEvent('U', pos + 1), MorseEvent('X', pos + 1, over, 1),
-                MorseEvent('A', pos)]
-    return [MorseEvent('U', pos), MorseEvent('X', pos, over, 1),
-            MorseEvent('A', pos + 1)]
-
-
 def n_curl(n, over='+', variant='above', cid_start=None):
     """n-cable of a single kink on the base strand: the curl every strand
     of the diagram gets dragged through in the rotation loop."""
-    events, _ = n_cable(kink_events(1, over, variant), n, cid_start=cid_start)
+    kink = R1Create(0, 1, over, variant, cid=1).kink_events()
+    events, _ = n_cable(kink, n, cid_start=cid_start)
     return events
 
 

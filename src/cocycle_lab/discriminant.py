@@ -162,9 +162,7 @@ def _site_host(order, windings, n, block, perm):
         final[_piece_end(t, chains, joins)] = ((t + 1) % n) + 1
     cid = _perm_braid(occupants, final, cid, events)
 
-    diagram = AnnularDiagram(n, events, w0=n)
-    diagram.validate()
-    return diagram, block_slot
+    return AnnularDiagram(n, events, w0=n), block_slot
 
 
 def _piece_end(t, chains, joins):

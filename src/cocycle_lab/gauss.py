@@ -84,16 +84,36 @@ class GaussDiagram:
             self._marks = marks
         return self._marks
 
+    def edited(self, cuts, signs):
+        """The Gauss diagram a local move leaves behind.
+
+        cuts lists (start, stop, new) in increasing, disjoint index
+        order; tokens[start:stop] is replaced by new.  No local move
+        moves a ray passage: a triple point move reorders the crossing
+        tokens inside each cut, and a tangency move inserts or drops
+        crossing tokens.  So when the token count is kept, no other
+        token moves and no crossing end passes a ray passage: the other
+        positions and every marking carry over.  Otherwise the new
+        diagram is indexed afresh.
+        """
+        tokens = list(self.tokens)
+        for start, stop, new in reversed(cuts):
+            tokens[start:stop] = new
+        if len(tokens) != len(self.tokens):
+            return GaussDiagram(tokens, signs)
+        g = GaussDiagram.__new__(GaussDiagram)
+        g.tokens, g.signs = tokens, signs
+        g._pos = dict(self._pos)
+        for start, stop, _ in cuts:
+            for idx in range(start, stop):
+                g._pos[tokens[idx]] = idx
+        g._marks = self._marks
+        return g
+
     def in_open_arc(self, idx, start, stop):
         """Is token index idx strictly inside the arc start -> stop?"""
-        if start == stop:
-            return False
-        i = (start + 1) % len(self.tokens)
-        while i != stop:
-            if i == idx:
-                return True
-            i = (i + 1) % len(self.tokens)
-        return False
+        size = len(self.tokens)
+        return 0 < (idx - start) % size < (stop - start) % size
 
     def interleaved(self, cid1, cid2):
         """Do the chords of cid1 and cid2 cross inside the circle?"""

@@ -322,7 +322,7 @@ class _Transport:
 
     # -- driver -------------------------------------------------------
 
-    def follow(self, levs, itinerary):
+    def follow(self, itinerary):
         for rec in itinerary:
             other = self.units[self.mi + self.d]
             if other.orig != rec[1]:
@@ -354,7 +354,7 @@ def push_loop(tangle_word, long_text, n):
 
     units = [_Unit('mover', -1, len(tangle), 1)] + _cable_units(levs, n)
     tr = _Transport(start, units, 0, 1, 1)
-    tr.follow(levs, companion_itinerary(levs))
+    tr.follow(companion_itinerary(levs))
     tr.ray_pass()
     tr.normalize_blocks()
     shape = [(e.kind, e.pos, e.over) for e in start.events]
@@ -390,13 +390,8 @@ def _relabel_through_tangle(tr, forward):
     pair = tr.cur.events[s:s + k]
     if len({(e.kind, e.pos, e.over) for e in pair}) != 1:
         raise PlannerError("tangle does not absorb the twist by resplitting")
-    m = tr.mover().length
-    if forward:
-        tr.units[ti] = _Unit('mover', -1, m, tu.q)
-        tr.units[tr.mi] = _Unit('tangle', -1, tu.length, tu.q)
-    else:
-        tr.units[ti] = _Unit('mover', -1, m, tu.q)
-        tr.units[tr.mi] = _Unit('tangle', -1, tu.length, tu.q)
+    tr.units[ti] = _Unit('mover', -1, tr.mover().length, tu.q)
+    tr.units[tr.mi] = _Unit('tangle', -1, tu.length, tu.q)
     tr.mi = ti
 
 
@@ -408,9 +403,9 @@ def _twist_slide(tangle_word, long_text, n, forward):
         tr.ray_pass()
         _relabel_through_tangle(tr, forward=True)
         # facing the cable now, still moving rightward
-        tr.follow(levs, companion_itinerary(levs))
+        tr.follow(companion_itinerary(levs))
     else:
-        tr.follow(levs, companion_itinerary(levs, start=(m, 1, -1)))
+        tr.follow(companion_itinerary(levs, start=(m, 1, -1)))
         _relabel_through_tangle(tr, forward=False)
         tr.ray_pass()
     return Movie(start, tr.moves), tr
@@ -455,5 +450,5 @@ def scan_path(tangle_word, long_text, n):
     ray.  Not closed; its value already equals the rotation value."""
     levs, start, units = _twist_base(tangle_word, long_text, n)
     tr = _Transport(start, units, len(units) - 1, 1, -1)
-    tr.follow(levs, companion_itinerary(levs, start=(len(levs), 1, -1)))
+    tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
     return Movie(start, tr.moves)

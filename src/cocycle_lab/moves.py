@@ -13,18 +13,21 @@ cancellation.
 Slots index the gaps of the cyclic event word: slot t sits just before
 event t, slot 0 at the ray.
 
-Moves whose effect on the Gauss diagram is local (Exchange, R3 and a
-Rearrange that passes its window check) build the state they leave
-behind from their parent's without walking the whole diagram again;
-every other move builds and validates its result in full.
+Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
+R2Delete and a Rearrange that passes its window check) build the state
+they leave behind from their parent's without walking the whole diagram
+again.  Kinks, ray shifts, a Rearrange that fails its window check and
+an R2Create whose token gaps the walk cannot decide build and validate
+their result in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annular import AnnularDiagram, MorseEvent, fits, window_strands
-from .gauss import GaussDiagram, ray_starts
+from .annular import (AnnularDiagram, DiagramError, MorseEvent, fits,
+                      token_gap, window_strands)
+from .gauss import ray_starts
 
 
 class MoveError(ValueError):
@@ -116,7 +119,16 @@ class R1Delete(Move):
 @dataclass(frozen=True)
 class R2Create(Move):
     """Push two adjacent strands across each other: insert X(pos) X(pos)
-    with opposite over flags.  over_first is the flag of the first one."""
+    with opposite over flags.  over_first is the flag of the first one.
+
+    Each of the two strands meets the new crossings back to back, with
+    the same token kind: the strand at pos passes over both when
+    over_first is '+'.  So the Gauss data changes by a pair of tokens
+    inserted where each strand crosses the slot (annular.token_gap), in
+    word order or reversed with the strand's direction, and the two
+    crossings get opposite signs.  Where the tokens do not decide the
+    gaps, or both strands sit in one gap, the word is built in full.
+    """
 
     slot: int
     pos: int
@@ -125,19 +137,46 @@ class R2Create(Move):
     cid2: int = 0
 
     def apply(self, diagram):
-        c1 = self.cid1 if self.cid1 > 0 else diagram.max_cid() + 1
-        c2 = self.cid2 if self.cid2 > 0 else max(c1, diagram.max_cid()) + 1
+        top = diagram.max_cid()
+        c1 = self.cid1 if self.cid1 > 0 else top + 1
+        c2 = self.cid2 if self.cid2 > 0 else max(c1, top) + 1
         if c1 == c2:
             raise MoveError('E_ID', "tangency needs two distinct ids")
+        pair = [MorseEvent('X', self.pos, self.over_first, c1),
+                MorseEvent('X', self.pos, _other(self.over_first), c2)]
         evs = list(diagram.events)
-        evs[self.slot:self.slot] = [
-            MorseEvent('X', self.pos, self.over_first, c1),
-            MorseEvent('X', self.pos, _other(self.over_first), c2)]
-        return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+        s = slice(self.slot, None).indices(len(evs))[0]
+        evs[s:s] = pair
+        w = diagram.widths()
+        ws = w[s] if s < len(w) else diagram.w0
+        if not fits(pair[0], ws):
+            raise DiagramError('E_POS', f"crossing at {self.pos} exceeds width {ws}")
+        g = diagram.gauss()
+        if c1 in g.signs or c2 in g.signs:
+            raise DiagramError('E_ID', "duplicate crossing ids")
+        gaps = [token_gap(diagram, s, p) for p in (self.pos, self.pos + 1)]
+        if None in gaps or gaps[0][0] == gaps[1][0]:
+            return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+        (ja, da), (jb, db) = gaps
+        ka, kb = ('h', 'f') if self.over_first == '+' else ('f', 'h')
+        cuts = sorted([(ja, ja, [(ka, c1), (ka, c2)][::da]),
+                       (jb, jb, [(kb, c1), (kb, c2)][::db])])
+        signs = dict(g.signs)
+        signs[c1] = da * db * (1 if self.over_first == '+' else -1)
+        signs[c2] = -signs[c1]
+        return AnnularDiagram._derive(diagram, evs, g.edited(cuts, signs),
+                                      w[:s] + [ws, ws] + w[s:])
 
 
 @dataclass(frozen=True)
 class R2Delete(Move):
+    """Cancel a tangency pair X(pos) X(pos) with opposite over flags.
+
+    Removing a bigon cannot disconnect the knot: the Gauss data loses
+    the four tokens and the two signs of the pair, and nothing else
+    changes.
+    """
+
     slot: int
 
     def apply(self, diagram):
@@ -150,7 +189,13 @@ class R2Delete(Move):
             raise MoveError('E_R2', f"no cancelling pair at slot {self.slot}")
         out = list(evs)
         del out[self.slot:self.slot + 2]
-        return AnnularDiagram(diagram.n, out, w0=diagram.w0)
+        w = list(diagram.widths())
+        del w[self.slot:self.slot + 2]
+        g = diagram.gauss()
+        gone = sorted(g.position(k, ev.cid) for ev in (a, b) for k in 'hf')
+        signs = {cid: sg for cid, sg in g.signs.items() if cid not in (a.cid, b.cid)}
+        return AnnularDiagram._derive(
+            diagram, out, g.edited([(i, i + 1, ()) for i in gone], signs), w)
 
 
 # flag triples whose three strand heights are cyclically ordered instead
@@ -219,11 +264,12 @@ class R3(Move):
             MorseEvent('X', a.pos, b.over, b.cid),
             MorseEvent('X', b.pos, a.over, a.cid)]
         g = diagram.gauss()
-        tokens = list(g.tokens)
+        cuts = []
         for first, second in _r3_strand_tokens(trip):
-            i, j = g.position(*first), g.position(*second)
-            tokens[i], tokens[j] = tokens[j], tokens[i]
-        return AnnularDiagram._derive(diagram, evs, GaussDiagram(tokens, g.signs))
+            i = min(g.position(*first), g.position(*second))
+            cuts.append((i, i + 2, g.tokens[i:i + 2][::-1]))
+        cuts.sort()
+        return AnnularDiagram._derive(diagram, evs, g.edited(cuts, g.signs))
 
 
 @dataclass(frozen=True)

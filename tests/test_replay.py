@@ -1,12 +1,13 @@
 """Differential test of movie replay.
 
-Exchange, R3 and a Rearrange that passes its window check derive the
-state they leave behind from the parent's Gauss data instead of
-traversing the diagram again.  After every move of every movie here,
+Exchange, R3, R2Create, R2Delete and a Rearrange that passes its window
+check derive the state they leave behind from the parent's Gauss data
+instead of traversing the diagram again.  After every move of every movie here,
 the replayed state must agree with the same event word built from
 scratch by the public, fully validating constructor.
 """
 
+import functools
 import itertools
 from collections import Counter
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import verify
-from cocycle_lab.annular import AnnularDiagram, DiagramError, MorseEvent
+from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
+                                parse_morse)
 from cocycle_lab.cabling import (LONG_FIG8, LONG_TREFOIL, braid_events,
                                  closed_cable, long_events, normalize_w1)
 from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
@@ -23,8 +25,8 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import (Exchange, Movie, MoveError, R2Create, R3,
-                               RayShift, Rearrange, r3_triple)
+from cocycle_lab.moves import (Exchange, Movie, MoveError, R2Create,
+                               R2Delete, R3, RayShift, Rearrange, r3_triple)
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
@@ -35,6 +37,7 @@ def assert_matches_reference(state, where):
     got, want = state.gauss(), ref.gauss()
     assert got.tokens == want.tokens, where
     assert got.signs == want.signs, where
+    assert got.markings() == want.markings(), where
     assert state.widths() == ref.widths(), where
 
 
@@ -71,9 +74,8 @@ def test_rotation_scan_and_twist_loops(planner, knot):
     assert_planner_replay_matches(planner([1], knot, 2))
 
 
-def test_replay_validates_only_start_and_ray_shifts(monkeypatch):
-    movie = push_loop([1, 2], TREFOIL1, 3)
-    start = movie.start
+def _count_validations(monkeypatch):
+    """A counter of the states validated from now on."""
     calls = Counter()
     validate = AnnularDiagram.validate
 
@@ -82,10 +84,49 @@ def test_replay_validates_only_start_and_ray_shifts(monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(AnnularDiagram, 'validate', counted)
+    return calls
+
+
+def _validations(monkeypatch, movie):
+    """How many states a replay of the movie validates, its start included."""
+    calls = _count_validations(monkeypatch)
+    start = movie.start
     fresh = AnnularDiagram(start.n, list(start.events), w0=start.w0)
     Movie(fresh, movie.moves).final()
+    return calls['validate']
+
+
+def test_replay_validates_only_start_and_ray_shifts(monkeypatch):
+    movie = push_loop([1, 2], TREFOIL1, 3)
     shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
-    assert shifts > 0 and calls['validate'] == 1 + shifts
+    assert shifts > 0 and _validations(monkeypatch, movie) == 1 + shifts
+
+
+def _first_loop(candidates):
+    """The first candidate loop that replays."""
+    for make in candidates:
+        try:
+            movie = make()
+            movie.final()
+        except (HostError, MoveError):
+            continue
+        return movie
+    raise AssertionError("no candidate loop replays")
+
+
+def test_tangency_replay_validates_only_the_start(monkeypatch):
+    cube = _first_loop(
+        lambda order=order, flags=flags: tangency_loop(
+            *tangency_host(order, (1, 1, 0), flags, 2), flags[0])
+        for order in itertools.permutations((1, 2, 3))
+        for flags in itertools.product("+-", repeat=3))
+    d = push_loop([1], TREFOIL1, 2).states()[7]
+    commutation = _first_loop(
+        lambda s=s: commutation_loop(d, s, len(d.events) - 1, 1, '+')
+        for s in range(len(d.events) - 2) if r3_triple(d.events, s))
+    for movie in (cube, commutation):
+        assert {type(mv) for mv in movie.moves} == {R2Create, R2Delete, R3}
+        assert _validations(monkeypatch, movie) == 1
 
 
 def _turn_windows(movie):
@@ -310,3 +351,125 @@ def test_r3_moves_every_token_pair():
             continue
         assert after.gauss().tokens != host.gauss().tokens
         assert_matches_reference(after, f"flags {flags}")
+
+
+# ---------------------------------------------------------------------------
+# Tangency moves
+
+@functools.cache
+def _graft_hosts():
+    """Corpus cables and states of push loops."""
+    hosts = [d for _, d in verify.corpus_diagrams()]
+    for n in (2, 3):
+        hosts += push_loop(list(range(1, n)), TREFOIL1, n).states()[::4]
+    return tuple(hosts)
+
+
+def assert_grafts_match(d, over):
+    """Graft a tangency at every slot, the ray slice on both sides of the
+    origin included, and every position; compare with the full build,
+    and check that cancelling it restores d."""
+    g, w = d.gauss(), d.widths()
+    for s in range(len(d.events) + 1):
+        for pos in range(1, (w[s] if s < len(w) else d.w0)):
+            mv = R2Create(s, pos, over)
+            after = mv.apply(d)
+            assert_matches_reference(after, repr(mv))
+            back = R2Delete(s).apply(after)
+            assert back.events == d.events, repr(mv)
+            assert back.gauss().tokens == g.tokens, repr(mv)
+            assert back.gauss().signs == g.signs, repr(mv)
+            assert back.widths() == w, repr(mv)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_tangency_grafted_anywhere_matches_the_full_build(data):
+    d = data.draw(st.sampled_from(_graft_hosts()), label="host")
+    assert_grafts_match(d, data.draw(st.sampled_from("+-"), label="over"))
+
+
+def _reversed_token_lists():
+    """fig8 closures whose walk from the ray passage at position 1 runs
+    against the orientation: the token list is stored reversed and ends
+    at that passage, so a gap at the origin goes at the start."""
+    d = closed_cable([], long_events(LONG_FIG8), 1)
+    out = []
+    for _ in range(len(d.events) - 1):
+        d = RayShift(1).apply(d)
+        if d.gauss().tokens[0] != ('r', 1):
+            out.append(d)
+    assert out
+    return out
+
+
+def test_tangency_grafts_on_reversed_token_lists():
+    for d in _reversed_token_lists():
+        for over in "+-":
+            assert_grafts_match(d, over)
+
+
+def test_tangency_at_the_ray_takes_the_local_path(monkeypatch):
+    # both sides of the origin are decided from the tokens, without a
+    # full build
+    cables = [d for _, d in verify.corpus_diagrams()]
+    grafts = [(d, 0) for d in cables]
+    grafts += [(d, len(d.events)) for d in cables + _reversed_token_lists()]
+    calls = _count_validations(monkeypatch)
+    for d, slot in grafts:
+        for over in "+-":
+            after = R2Create(slot, 1, over).apply(d)
+            assert calls['validate'] == 0, (d, slot)
+            assert_matches_reference(after, f"slot {slot} over {over}")
+            calls.clear()
+
+
+def test_tangency_on_a_diagram_without_crossings():
+    # no crossing token to walk to: the full build decides
+    d = parse_morse("U 1 ; A 2")
+    for pos in (1, 2):
+        assert_matches_reference(R2Create(1, pos, '-').apply(d), f"pos {pos}")
+
+
+def _full_graft_error(d, mv, c1, c2):
+    """The error of building the grafted word from scratch, or None."""
+    evs = list(d.events)
+    evs[mv.slot:mv.slot] = [MorseEvent('X', mv.pos, mv.over_first, c1),
+                            _flip(MorseEvent('X', mv.pos, mv.over_first, c2))]
+    try:
+        AnnularDiagram(d.n, evs, w0=d.w0)
+    except DiagramError as exc:
+        return exc
+    return None
+
+
+def test_tangency_errors_match_the_full_build():
+    d = _two_cable()
+    top = d.max_cid()
+    w = d.widths()
+    s = next(s for s in range(len(w)) if w[s] > 2)
+    cases = [
+        (R2Create(s, w[s], '+'), top + 1, top + 2),          # no strand above
+        (R2Create(s, w[s] + 3, '-'), top + 1, top + 2),
+        (R2Create(0, d.w0, '+'), top + 1, top + 2),
+        (R2Create(len(w), d.w0, '-'), top + 1, top + 2),
+        (R2Create(s, 1, '+', 1, top + 1), 1, top + 1),       # cid in use
+        (R2Create(s, 1, '-', top + 1, top), top + 1, top),
+        (R2Create(s, w[s], '+', 1, top + 1), 1, top + 1),    # both: E_POS first
+    ]
+    for mv, c1, c2 in cases:
+        want = _full_graft_error(d, mv, c1, c2)
+        assert want is not None, mv
+        with pytest.raises(DiagramError) as err:
+            mv.apply(d)
+        assert (err.value.code, str(err.value)) == (want.code, str(want)), mv
+    with pytest.raises(MoveError) as err:
+        R2Create(s, 1, '+', 5, 5).apply(d)
+    assert err.value.code == 'E_ID'
+    with pytest.raises(DiagramError) as err:
+        R2Create(s, 0, '+').apply(d)
+    assert err.value.code == 'E_POS'
+    for slot in (len(d.events) - 1, len(d.events), 0):
+        with pytest.raises(MoveError) as err:
+            R2Delete(slot).apply(d)
+        assert err.value.code == 'E_R2'
