@@ -20,7 +20,6 @@ backward strands over the ray without corrupting any marking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import re
 
 from .gauss import DiagramError, GaussDiagram
@@ -398,38 +397,8 @@ class AnnularDiagram:
 
     # -- misc --------------------------------------------------------------
 
-    def copy(self):
-        return AnnularDiagram(self.n, list(self.events), w0=self.w0)
-
     def max_cid(self):
         return max([ev.cid for ev in self.events if ev.kind == 'X'], default=0)
-
-    def to_json(self):
-        evs = []
-        for ev in self.events:
-            if ev.kind == 'X':
-                evs.append({'k': 'X' + ev.over, 'i': ev.pos, 'id': ev.cid})
-            else:
-                evs.append({'k': ev.kind, 'i': ev.pos})
-        return {'n': self.n, 'events': evs, 'ray': 0}
-
-    @classmethod
-    def from_json(cls, data):
-        events = []
-        next_cid = 1 + max([e.get('id', 0) for e in data['events']], default=0)
-        for e in data['events']:
-            k = e['k']
-            if k.startswith('X'):
-                cid = e.get('id')
-                if cid is None:
-                    cid, next_cid = next_cid, next_cid + 1
-                events.append(MorseEvent('X', e['i'], k[1], cid))
-            else:
-                events.append(MorseEvent(k, e['i']))
-        return cls(data['n'], events)
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True, separators=(',', ':'))
 
     def __repr__(self):
         return f"AnnularDiagram(n={self.n}, {format_morse(self)!r})"

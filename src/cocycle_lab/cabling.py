@@ -12,6 +12,7 @@ cocycle machinery evaluates on.
 from __future__ import annotations
 
 from .annular import AnnularDiagram, MorseEvent, parse_morse
+from .gauss import w1
 from .moves import R1Create
 
 
@@ -107,7 +108,6 @@ LONG_TORUS25 = "U 2 ; X+ 1 ; X+ 1 ; X+ 1 ; X+ 1 ; X+ 1 ; A 2"
 LONG_TORUS27 = "U 2 ; " + " ; ".join(["X+ 1"] * 7) + " ; A 2"
 LONG_FIG8 = "U 2 ; X+ 1 ; X- 2 ; X+ 1 ; X- 2 ; A 1"
 LONG_MIRROR_TREFOIL = "U 2 ; X- 1 ; X- 1 ; X- 1 ; A 2"
-LONG_UNKNOT_KINKS = "U 2 ; X+ 2 ; X+ 2 ; X+ 2 ; A 1"
 # figure eight with the framing brought to -1 by one extra kink
 LONG_FIG8_W1 = LONG_FIG8 + " ; U 2 ; X+ 2 ; A 1"
 
@@ -115,9 +115,7 @@ LONG_FIG8_W1 = LONG_FIG8 + " ; U 2 ; X+ 2 ; A 1"
 def normalize_w1(text, target):
     """Append marking-1 kinks to a long knot word until its degree-one
     invariant hits the target framing."""
-    from .annular import AnnularDiagram
-    from .gauss import w1 as _w1
-    cur = _w1(AnnularDiagram(1, long_events(text), w0=1).gauss())
+    cur = w1(AnnularDiagram(1, long_events(text), w0=1).gauss())
     neg = "U 2 ; X+ 2 ; A 1"   # negative kink of marking one
     pos = "U 1 ; X- 1 ; A 2"   # positive kink of marking one
     piece = neg if cur > target else pos

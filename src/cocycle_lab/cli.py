@@ -48,8 +48,11 @@ def _knot_text(spec):
     if base in BUILTIN_KNOTS and spec.endswith('.morse') and not os.path.exists(spec):
         return BUILTIN_KNOTS[base]
     if os.path.exists(spec):
-        with open(spec) as f:
-            return f.read().strip()
+        try:
+            with open(spec, encoding='utf-8') as f:
+                return f.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"E_IO: cannot read {spec}: {exc}") from None
     if any(tok in spec for tok in ('U ', 'A ', 'X+', 'X-')) or spec == '':
         return spec
     raise UsageError(f"unknown knot {spec!r}: not a builtin, file, or Morse text")
@@ -79,8 +82,11 @@ def _framed(spec, target_w1):
 def _emit(payload, out_path):
     blob = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        with open(out_path, 'w') as f:
-            f.write(blob)
+        try:
+            with open(out_path, 'w') as f:
+                f.write(blob)
+        except OSError as exc:
+            raise UsageError(f"E_IO: cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(blob)
 
@@ -273,11 +279,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_invariant(args):
-    if args.tangle or args.n > 1:
-        d = closed_cable(braid_events(_tangle_word(args.tangle or '')),
-                         long_events(_framed(args.knot, args.w1)), args.n)
-    else:
-        d = closed_cable([], long_events(_framed(args.knot, args.w1)), 1)
+    d = closed_cable(braid_events(_tangle_word(args.tangle or '')),
+                     long_events(_framed(args.knot, args.w1)), args.n)
     g = d.gauss()
     if args.what == 'v2':
         print(v2(g))
@@ -359,11 +362,21 @@ def build_parser():
     return ap
 
 
+def _check_n(args):
+    """The class n is at least 1, and the cocycle's parameter range
+    0 < a < n needs n >= 2."""
+    least = 2 if args.command in ('eval', 'pairing') else 1
+    if getattr(args, 'n', None) is not None and args.n < least:
+        raise UsageError(f"E_ARGS: {args.command} needs --n >= {least}, "
+                         f"got {args.n}")
+
+
 def run(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         _apply_caps(_caps_from_env())
+        _check_n(args)
         return args.func(args)
     except (UsageError, DiagramError, MoveError, HostError, PlannerError,
             oracle.OracleCapError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauss import match_n0_pairs
-from .moves import R3, r3_triple
+from .moves import R3, _r3_strand_tokens, r3_triple
 
 
 class CocycleError(ValueError):
@@ -38,29 +38,6 @@ class TripleData:
     w_hm: int
 
 
-def _strand_heights(a, b, c):
-    """Height order of the three strands meeting in a triple point
-    pattern [X(p) X(q) X(p)], labelled 0,1,2 bottom to top at entry.
-    Returns dict pairs (i,j) -> crossing event, plus over relations."""
-    over = {}
-    pairs = {}
-    if a.pos < b.pos:
-        # pattern sigma_i sigma_{i+1} sigma_i: crossings 01, 02, 12
-        seq = [((0, 1), a), ((0, 2), b), ((1, 2), c)]
-        asc = [0, 0, 1]
-    else:
-        # sigma_{i+1} sigma_i sigma_{i+1}: crossings 12, 02, 01
-        seq = [((1, 2), a), ((0, 2), b), ((0, 1), c)]
-        asc = [1, 0, 0]
-    for (pair, ev), lower in zip(seq, asc):
-        pairs[pair] = ev
-        i, j = pair
-        hi = (lower == i) == (ev.over == '+')
-        # hi: the strand with smaller label is the over strand
-        over[pair] = i if hi else j
-    return pairs, over
-
-
 def classify_r3(state, slot, n=None):
     """TripleData for the R3 move applied at this slot of this state."""
     if n is None:
@@ -68,22 +45,18 @@ def classify_r3(state, slot, n=None):
     trip = r3_triple(state.events, slot)
     if trip is None:
         raise CocycleError(f"no triple point pattern at slot {slot}")
-    a, b, c = trip
-    pairs, over = _strand_heights(a, b, c)
-    score = {0: 0, 1: 0, 2: 0}
-    for pair, winner in over.items():
-        score[winner] += 1
-    ranked = sorted(score, key=lambda s: -score[s])
-    if [score[s] for s in ranked] != [2, 1, 0]:
+    met = _r3_strand_tokens(trip)
+    # a strand passes over ('h') one crossing per strand below it
+    score = [(m[0][0] == 'h') + (m[1][0] == 'h') for m in met]
+    if sorted(score) != [0, 1, 2]:
         raise CocycleError("strand heights are cyclic at this slot")
-    H, M, L = ranked
-    d = pairs[tuple(sorted((H, L)))]
-    hm = pairs[tuple(sorted((H, M)))]
-    ml = pairs[tuple(sorted((M, L)))]
+    hi = {cid for _, cid in met[score.index(2)]}
+    lo = {cid for _, cid in met[score.index(0)]}
+    (d,), (hm,), (ml,) = hi & lo, hi - lo, lo - hi
 
     g = state.gauss()
-    marks = {q.cid: g.marking(q.cid) for q in (d, hm, ml)}
-    total = marks[hm.cid] + marks[ml.cid] - marks[d.cid]
+    marks = {q: g.marking(q) for q in (d, hm, ml)}
+    total = marks[hm] + marks[ml] - marks[d]
     if total == n:
         gtype = 'r'
     elif total == 0:
@@ -91,17 +64,16 @@ def classify_r3(state, slot, n=None):
     else:
         raise CocycleError(f"marking balance {total} fits neither side")
 
-    wd, whm, wml = g.signs[d.cid], g.signs[hm.cid], g.signs[ml.cid]
+    wd, whm, wml = g.signs[d], g.signs[hm], g.signs[ml]
     key = ((1 - wd) // 2, (1 - whm) // 2, (1 - wml) // 2)
     local = 1 + key[0] * 4 + key[1] * 2 + key[2]
 
-    inter = sum(g.interleaved(x.cid, y.cid)
+    inter = sum(g.interleaved(x, y)
                 for x, y in ((d, hm), (d, ml), (hm, ml)))
     sign = 1 if inter in (0, 2) else -1
 
-    return TripleData(slot=slot, d=d.cid, hm=hm.cid, ml=ml.cid,
-                      marks={'d': marks[d.cid], 'hm': marks[hm.cid],
-                             'ml': marks[ml.cid]},
+    return TripleData(slot=slot, d=d, hm=hm, ml=ml,
+                      marks={'d': marks[d], 'hm': marks[hm], 'ml': marks[ml]},
                       global_type=gtype, local_type=local, sign=sign,
                       w_hm=whm)
 
@@ -224,21 +196,18 @@ def walk(movie, avals, n=None):
     if n is None:
         n = movie.start.n
     reports = {a: CocycleReport(n=n, a=a, value=0) for a in avals}
-    error = None
-    cur = movie.start
-    for index, mv in enumerate(movie.moves, 1):
-        nxt = mv.apply(cur)
+    error, after = None, movie.start
+    for index, (before, mv, after) in enumerate(movie.steps(), 1):
         if avals and isinstance(mv, R3) and error is None:
             try:
-                rows = _rows(cur, mv.slot, index, n, avals)
+                rows = _rows(before, mv.slot, index, n, avals)
             except CocycleError as exc:
                 error = exc
             else:
                 for a, row in rows.items():
                     reports[a].rows.append(row)
                     reports[a].value += row.contrib
-        cur = nxt
-    return cur, reports, error
+    return after, reports, error
 
 
 def evaluate(movie, a, n=None, report=False):

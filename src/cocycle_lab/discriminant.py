@@ -18,7 +18,7 @@ import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
 from .moves import (Exchange, Movie, MoveError, R2Create, R2Delete, R3,
-                    r3_triple)
+                    _other, r3_triple)
 
 # half twist word the meridian starts from, and the walk around the
 # octagon: ('B', k) is a triple point move at word offset k, ('C', k) a
@@ -79,14 +79,15 @@ def tangency_host(order, windings, flags, n):
     over flags (o, f, g) of u, y and z.
     """
     o, f, g = flags
-    ob = '-' if o == '+' else '+'
-    block = [(1, o), (1, ob), (2, f), (1, g)]
+    block = [(1, o), (1, _other(o)), (2, f), (1, g)]
     # net permutation of u ubar y z: a cycle moving the top strand down
     return _site_host(order, windings, n, block, (2, 0, 1))
 
 
 def _site_host(order, windings, n, block, perm):
     k = len(order)
+    if n < 1:
+        raise HostError(f"class n must be at least 1, got {n}")
     if sorted(order) != list(range(1, k + 1)):
         raise HostError(f"order must arrange the {k} entry ports")
     if len(windings) != k or any(w < 0 for w in windings) or sum(windings) != n:

@@ -53,10 +53,6 @@ class GaussDiagram:
         self._marks = None
 
     @property
-    def chords(self):
-        return sorted(self.signs)
-
-    @property
     def homology_class(self):
         return sum(s for k, s in self.tokens if k == 'r')
 

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annular import AnnularDiagram, MorseEvent
+from .annular import AnnularDiagram, MorseEvent, strand_step
 from .cabling import braid_events, full_twist_word, long_events, n_cable, renumber
 from .moves import Exchange, Movie, R3, RayShift, Rearrange
 
 
 class PlannerError(RuntimeError):
     pass
-
-
-def _other(flag):
-    return '-' if flag == '+' else '+'
 
 
 # ---------------------------------------------------------------------------
@@ -46,67 +42,22 @@ def companion_itinerary(events, start=None):
     on reaching the ray again, in either direction.
     """
     m = len(events)
-    if start is None:
-        start = (0, 1, 1)
-    t, p, d = start
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100 * (m + 1) + 100:
-            raise PlannerError("companion circuit does not close")
-        if d == 1 and t == m:
-            return
-        if d == -1 and t == 0:
+    t, p, d = start or (0, 1, 1)
+    for _ in range(100 * (m + 1) + 100):
+        if t == (m if d == 1 else 0):
             return
         i_ev = t if d == 1 else t - 1
         ev = events[i_ev]
-        i = ev.pos
-        if ev.kind == 'X':
-            if p == i:
-                yield ('block', i_ev, 'lower')
-                p = i + 1
-            elif p == i + 1:
-                yield ('block', i_ev, 'upper')
-                p = i
-            else:
-                yield ('hop', i_ev)
-            t += d
-        elif ev.kind == 'U':
-            if d == 1:
-                yield ('hop', i_ev)
-                if p >= i:
-                    p += 2
-                t += 1
-            else:
-                if p == i:
-                    yield ('turn', i_ev, 'lower')
-                    p, d = i + 1, 1
-                elif p == i + 1:
-                    yield ('turn', i_ev, 'upper')
-                    p, d = i, 1
-                else:
-                    yield ('hop', i_ev)
-                    if p > i + 1:
-                        p -= 2
-                    t -= 1
-        else:  # cap
-            if d == 1:
-                if p == i:
-                    yield ('turn', i_ev, 'lower')
-                    p, d = i + 1, -1
-                elif p == i + 1:
-                    yield ('turn', i_ev, 'upper')
-                    p, d = i, -1
-                else:
-                    yield ('hop', i_ev)
-                    if p > i + 1:
-                        p -= 2
-                    t += 1
-            else:
-                yield ('hop', i_ev)
-                if p >= i:
-                    p += 2
-                t -= 1
+        lower = p == ev.pos
+        leaving, p, line = strand_step(ev, d == 1, p)
+        if line:
+            yield ('block', i_ev, 'lower' if lower else 'upper')
+        elif leaving != (d == 1):
+            yield ('turn', i_ev, 'lower' if lower else 'upper')
+        else:
+            yield ('hop', i_ev)
+        t, d = (i_ev + 1, 1) if leaving else (i_ev, -1)
+    raise PlannerError("companion circuit does not close")
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +132,7 @@ class _Transport:
             raise PlannerError("hop across a block the mover touches")
 
         def adj(p):
-            if v.kind == 'cup':
-                return p + shift if p >= cut else p
-            if v.kind == 'cap':
-                return p + shift if p >= cut else p
-            return p
+            return p + shift if p >= cut else p
 
         new_mov = [MorseEvent(e.kind, adj(e.pos), e.over, e.cid) for e in mov]
         vs = self.slot_of(other)

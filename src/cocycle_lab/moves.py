@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annular import (AnnularDiagram, DiagramError, MorseEvent, fits,
-                      token_gap, window_strands)
+from .annular import (AnnularDiagram, DiagramError, MorseEvent, _token_kind,
+                      fits, token_gap, window_strands)
 from .gauss import ray_starts
 
 
@@ -73,8 +73,8 @@ class R1Create(Move):
         raise MoveError('E_VARIANT', f"unknown kink variant {self.variant!r}")
 
     def apply(self, diagram):
-        cid = self.cid if self.cid > 0 else diagram.max_cid() + 1
-        piece = R1Create(self.slot, self.pos, self.over, self.variant, cid)
+        piece = R1Create(self.slot, self.pos, self.over, self.variant,
+                         self.created_cid(diagram))
         evs = list(diagram.events)
         evs[self.slot:self.slot] = piece.kink_events()
         return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
@@ -102,9 +102,7 @@ class R1Delete(Move):
     slot: int
 
     def apply(self, diagram):
-        b = _match_kink(diagram.events, self.slot)
-        if b is None:
-            raise MoveError('E_R1', f"no kink at slot {self.slot}")
+        self.deleted_cid(diagram)       # E_R1 unless a kink sits at slot
         evs = list(diagram.events)
         del evs[self.slot:self.slot + 3]
         return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
@@ -219,20 +217,20 @@ def _r3_strand_tokens(trip):
     """For each strand of a triple point pattern, the two crossing tokens
     it meets back to back, in event order.
 
-    The strands are followed through the pattern by position.  As in
-    the diagram traversal, at X(i) line 1 is the strand ascending from
-    i to i+1, and a line passes over (token 'h') exactly when it is
-    line 1 and the flag is '+', or line 2 and the flag is '-'.
+    The strands are followed through the pattern by position and
+    numbered 0, 1, 2 bottom to top at entry.  As in the diagram
+    traversal, at X(i) line 1 is the strand ascending from i to i+1,
+    and annular._token_kind gives the kind of its token.
     """
     base = min(ev.pos for ev in trip)
     occupant = [0, 1, 2]
     met = ([], [], [])
     for ev in trip:
         i = ev.pos - base
-        for line, strand in ((1, occupant[i]), (2, occupant[i + 1])):
-            kind = 'h' if (line == 1) == (ev.over == '+') else 'f'
-            met[strand].append((kind, ev.cid))
-        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+        ascending, other = occupant[i], occupant[i + 1]
+        met[ascending].append((_token_kind(ev, 1), ev.cid))
+        met[other].append((_token_kind(ev, 2), ev.cid))
+        occupant[i], occupant[i + 1] = other, ascending
     return met
 
 
@@ -417,24 +415,21 @@ class Movie:
     start: AnnularDiagram
     moves: list = field(default_factory=list)
 
-    def states(self):
-        out = [self.start]
-        for mv in self.moves:
-            out.append(mv.apply(out[-1]))
-        return out
-
     def steps(self):
-        """Yield (state_before, move, state_after)."""
+        """Yield (state_before, move, state_after): the one replay loop."""
         cur = self.start
         for mv in self.moves:
             nxt = mv.apply(cur)
             yield cur, mv, nxt
             cur = nxt
 
+    def states(self):
+        return [self.start] + [after for _, _, after in self.steps()]
+
     def final(self):
         cur = self.start
-        for mv in self.moves:
-            cur = mv.apply(cur)
+        for _, _, cur in self.steps():
+            pass
         return cur
 
     def is_closed(self):
@@ -496,7 +491,7 @@ def verify_movie(movie, mode='semi-regular', require_closed=True):
             raise MoveError('E_NEGLOOP', f"negative loop {witness} {where}")
 
     check_state(movie.start, "at start")
-    count = 1
+    count, after = 1, movie.start
     for before, mv, after in movie.steps():
         if isinstance(mv, R1Create):
             cid = mv.created_cid(before)
@@ -510,6 +505,6 @@ def verify_movie(movie, mode='semi-regular', require_closed=True):
                 raise MoveError('E_KINK', f"kink of marking {mark} at move {count}")
         check_state(after, f"after move {count}")
         count += 1
-    if require_closed and not movie.is_closed():
+    if require_closed and not same_gauss(after, movie.start):
         raise MoveError('E_CLOSED', "movie does not return to its start diagram")
     return count

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .annular import DiagramError
+from .annular import DiagramError, MorseEvent, parse_morse
 from .cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TORUS25,
                       LONG_TREFOIL, braid_events, closed_cable, long_events,
                       normalize_w1)
@@ -24,7 +24,7 @@ from .discriminant import (GLOBAL_TYPES, HostError, commutation_loop,
                            tangency_loop)
 from .gauss import c2k, lift_to_cover, v2
 from .loops import push_loop, scan_path
-from .moves import MoveError, r3_triple, same_gauss
+from .moves import MoveError, R1Create, _other, r3_triple, same_gauss
 from .oracle import conway
 
 
@@ -196,63 +196,32 @@ def suite_contractible(params=None):
 # ---------------------------------------------------------------------------
 # Scan invariance under semi-regular modification of the input
 
-def _token_widths(tokens):
-    """Width of the long word before each token slot (strand count)."""
-    w, out = 1, []
-    for kind, pos in tokens:
-        out.append(w)
-        if kind == 'U':
-            w += 2
-        elif kind == 'A':
-            w -= 2
-    out.append(w)
-    return out
-
-
-def _parse_long(text):
-    toks = []
-    for part in text.split(';'):
-        part = part.strip()
-        if not part:
-            continue
-        kind, pos = part.split()
-        toks.append((kind, int(pos)))
-    return toks
-
-
-def _format_long(tokens):
-    return " ; ".join(f"{k} {p}" for k, p in tokens)
-
-
 def semi_regular_variant(tangle_word, long_text, seed):
     """One seeded semi-regular change of the scan input: a cancelling
     generator pair in the closing tangle, a distant crossing pair, or a
     balanced pair of opposite curls in the long word."""
     rng = random.Random(seed)
     tangle = list(tangle_word)
-    toks = _parse_long(long_text)
+    word = parse_morse(long_text, n=1)
+    evs, widths = list(word.events), word.widths() + [1]
+    slots = [i for i, w in enumerate(widths) if w >= 2]
     kind = rng.choice(('tangle', 'pair', 'curls'))
     if kind == 'tangle' and tangle:
         i = rng.randrange(len(tangle) + 1)
         g = rng.choice(tangle)
         tangle[i:i] = [g, -g]
-        return tangle, _format_long(toks)
-    widths = _token_widths(toks)
-    slots = [i for i, w in enumerate(widths) if w >= 2]
-    if kind == 'pair' and slots:
+    elif kind == 'pair' and slots:
         i = rng.choice(slots)
         p = rng.randrange(1, widths[i])
         o = rng.choice('+-')
-        ob = '-' if o == '+' else '+'
-        toks[i:i] = [(f'X{o}', p), (f'X{ob}', p)]
-        return tangle, _format_long(toks)
-    i = rng.randrange(len(toks) + 1)
-    p = rng.randrange(1, _token_widths(toks)[i] + 1)
-    # a Whitney pair: opposite kinks on opposite sides, both marking 0
-    curls = [('U', p), ('X+', p), ('A', p + 1),
-             ('U', p + 1), ('X-', p + 1), ('A', p)]
-    toks[i:i] = curls
-    return tangle, _format_long(toks)
+        evs[i:i] = [MorseEvent('X', p, o), MorseEvent('X', p, _other(o))]
+    else:
+        i = rng.randrange(len(evs) + 1)
+        p = rng.randrange(1, widths[i] + 1)
+        # a Whitney pair: opposite kinks on opposite sides, both marking 0
+        evs[i:i] = (R1Create(i, p, '+', 'below').kink_events()
+                    + R1Create(i, p, '-', 'above').kink_events())
+    return tangle, " ; ".join(ev.text() for ev in evs)
 
 
 def suite_scan_invariance(params=None):

@@ -147,3 +147,49 @@ def test_verify_n_applies_to_suites_that_take_it(capsys):
     assert 'tetrahedron: pass (60 checks' in capsys.readouterr().out
     help_text = build_parser()._subparsers._group_actions[0].choices['verify'].format_help()
     assert 'tetrahedron and cube suites only' in ' '.join(help_text.split())
+
+
+@pytest.mark.parametrize('argv', [
+    ['loops', '--meridian', '1', '--n', '0'],
+    ['loops', '--cube', '--n', '0', '--windings', '0', '0', '0'],
+    ['verify', '--suite', 'tetrahedron', '--n', '0'],
+    ['invariant', 'v2', '--knot', 'trefoil', '--n', '0'],
+    ['cable', '--knot', 'trefoil', '--n', '0'],
+    ['eval', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '1'],
+    ['eval', '--push', '--knot', 'trefoil', '--n', '1', '--a', '1'],
+    ['pairing', '--left', 'unknot', '--right', 'trefoil', '--n', '1'],
+])
+def test_bad_n_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('cocycle-lab: E_ARGS:')
+
+
+def _io_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('cocycle-lab: E_IO:')
+    return err
+
+
+def test_unwritable_out_is_a_coded_error(tmp_path, capsys):
+    missing = tmp_path / 'no-such-dir' / 'x.json'
+    _io_error(['cable', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',
+               '--out', str(missing)], capsys)
+    _io_error(['verify', '--suite', 'prop1', '--report', str(missing)], capsys)
+    assert not missing.parent.exists()
+
+
+def test_unreadable_knot_file_is_a_coded_error(tmp_path, capsys):
+    _io_error(['invariant', 'v2', '--knot', str(tmp_path)], capsys)
+    bad = tmp_path / 'bad.morse'
+    bad.write_bytes(b'U 2 ; X+ 1 ; \xff\xfe')
+    assert 'bad.morse' in _io_error(['invariant', 'v2', '--knot', str(bad)], capsys)
+
+
+def test_knot_file_is_read(tmp_path, capsys):
+    path = tmp_path / 'knot.morse'
+    path.write_text('U 2 ; X+ 1 ; X+ 1 ; X+ 1 ; A 2\n')
+    assert run(['invariant', 'v2', '--knot', str(path)]) == 0
+    assert capsys.readouterr().out.strip() == '1'

@@ -73,3 +73,42 @@ def test_evaluate_all_covers_parameters():
     movie = push_loop([1, 2], normalize_w1(LONG_TREFOIL, 1), 3)
     values = evaluate_all(movie, 3)
     assert sorted(values) == [1, 2]
+
+
+# classify_r3 at slot 0 of the closure of [pattern with flags] + [last],
+# a class-3 knot: (d, hm, ml, local_type, global_type, marks, sign, w_hm);
+# None for the two flag triples with cyclic strand heights
+R3_TABLE = {
+    ((1, 2, 1, 2), '+++'): (2, 1, 3, 1, 'l', (2, 1, 1), 1, 1),
+    ((1, 2, 1, 2), '++-'): (1, 2, 3, 2, 'r', (1, 2, 2), 1, 1),
+    ((1, 2, 1, 2), '+-+'): None,
+    ((1, 2, 1, 2), '+--'): (3, 2, 1, 7, 'l', (2, 1, 1), 1, -1),
+    ((1, 2, 1, 2), '-++'): (3, 1, 2, 3, 'r', (1, 2, 2), 1, -1),
+    ((1, 2, 1, 2), '-+-'): None,
+    ((1, 2, 1, 2), '--+'): (1, 3, 2, 6, 'l', (2, 1, 1), 1, 1),
+    ((1, 2, 1, 2), '---'): (2, 3, 1, 8, 'r', (1, 2, 2), 1, -1),
+    ((2, 1, 2, 1), '+++'): (2, 3, 1, 1, 'r', (1, 2, 2), 1, 1),
+    ((2, 1, 2, 1), '++-'): (1, 3, 2, 3, 'l', (2, 1, 1), 1, -1),
+    ((2, 1, 2, 1), '+-+'): None,
+    ((2, 1, 2, 1), '+--'): (3, 1, 2, 6, 'r', (1, 2, 2), 1, 1),
+    ((2, 1, 2, 1), '-++'): (3, 2, 1, 2, 'l', (2, 1, 1), 1, 1),
+    ((2, 1, 2, 1), '-+-'): None,
+    ((2, 1, 2, 1), '--+'): (1, 2, 3, 7, 'r', (1, 2, 2), 1, -1),
+    ((2, 1, 2, 1), '---'): (2, 1, 3, 8, 'l', (2, 1, 1), 1, -1),
+}
+
+
+@pytest.mark.parametrize('word,flags', sorted(R3_TABLE))
+def test_classify_r3_table(word, flags):
+    from cocycle_lab.cabling import braid_events, closed_cable
+    braid = [g if f == '+' else -g for g, f in zip(word, flags)] + [word[3]]
+    state = closed_cable(braid_events(braid), [], 3)
+    want = R3_TABLE[word, flags]
+    if want is None:
+        with pytest.raises(CocycleError, match='cyclic'):
+            classify_r3(state, 0)
+        return
+    t = classify_r3(state, 0)
+    got = (t.d, t.hm, t.ml, t.local_type, t.global_type,
+           (t.marks['d'], t.marks['hm'], t.marks['ml']), t.sign, t.w_hm)
+    assert got == want

@@ -24,6 +24,14 @@ def test_quad_host_rejects_bad_windings():
         quad_host((1, 1, 2, 3), (0, 0, 0, 2), 2)
 
 
+def test_hosts_reject_class_zero():
+    # no arc winds, so no branch to start the circuit on
+    with pytest.raises(HostError, match='at least 1'):
+        quad_host(GLOBAL_TYPES[1], (0, 0, 0, 0), 0)
+    with pytest.raises(HostError, match='at least 1'):
+        tangency_host((1, 2, 3), (0, 0, 0), ('+', '+', '+'), 0)
+
+
 def test_meridian_loop_closes_and_vanishes():
     host, slot = quad_host(GLOBAL_TYPES[3], (1, 0, 0, 1), 2)
     movie = meridian_loop(host, slot)

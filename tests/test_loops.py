@@ -66,3 +66,52 @@ def test_three_cable_push_runs():
 def test_fig8_fixture_framing():
     movie = rotation_loop([1], LONG_FIG8_W1, 2)
     assert movie.is_closed()
+
+
+ITINERARIES = {
+    'trefoil': (
+        [('hop', 0), ('block', 1, 'lower'), ('block', 2, 'upper'),
+         ('block', 3, 'lower'), ('turn', 4, 'lower'), ('hop', 3), ('hop', 2),
+         ('hop', 1), ('turn', 0, 'upper'), ('block', 1, 'upper'),
+         ('block', 2, 'lower'), ('block', 3, 'upper'), ('hop', 4)],
+        [('hop', 4), ('block', 3, 'lower'), ('block', 2, 'upper'),
+         ('block', 1, 'lower'), ('turn', 0, 'lower'), ('hop', 1), ('hop', 2),
+         ('hop', 3), ('turn', 4, 'upper'), ('block', 3, 'upper'),
+         ('block', 2, 'lower'), ('block', 1, 'upper'), ('hop', 0)]),
+    'fig8': (
+        [('hop', 0), ('block', 1, 'lower'), ('block', 2, 'lower'), ('hop', 3),
+         ('block', 4, 'upper'), ('turn', 5, 'upper'), ('hop', 4),
+         ('block', 3, 'lower'), ('block', 2, 'lower'), ('hop', 1),
+         ('turn', 0, 'upper'), ('block', 1, 'upper'), ('hop', 2),
+         ('block', 3, 'lower'), ('block', 4, 'lower'), ('hop', 5)],
+        [('hop', 5), ('block', 4, 'upper'), ('block', 3, 'upper'), ('hop', 2),
+         ('block', 1, 'lower'), ('turn', 0, 'lower'), ('hop', 1),
+         ('block', 2, 'upper'), ('block', 3, 'upper'), ('hop', 4),
+         ('turn', 5, 'lower'), ('block', 4, 'lower'), ('hop', 3),
+         ('block', 2, 'upper'), ('block', 1, 'upper'), ('hop', 0)]),
+    'torus25': (
+        [('hop', 0), ('block', 1, 'lower'), ('block', 2, 'upper'),
+         ('block', 3, 'lower'), ('block', 4, 'upper'), ('block', 5, 'lower'),
+         ('turn', 6, 'lower'), ('hop', 5), ('hop', 4), ('hop', 3), ('hop', 2),
+         ('hop', 1), ('turn', 0, 'upper'), ('block', 1, 'upper'),
+         ('block', 2, 'lower'), ('block', 3, 'upper'), ('block', 4, 'lower'),
+         ('block', 5, 'upper'), ('hop', 6)],
+        [('hop', 6), ('block', 5, 'lower'), ('block', 4, 'upper'),
+         ('block', 3, 'lower'), ('block', 2, 'upper'), ('block', 1, 'lower'),
+         ('turn', 0, 'lower'), ('hop', 1), ('hop', 2), ('hop', 3), ('hop', 4),
+         ('hop', 5), ('turn', 6, 'upper'), ('block', 5, 'upper'),
+         ('block', 4, 'lower'), ('block', 3, 'upper'), ('block', 2, 'lower'),
+         ('block', 1, 'upper'), ('hop', 0)]),
+}
+
+
+@pytest.mark.parametrize('name', sorted(ITINERARIES))
+def test_companion_itinerary_records(name):
+    from cocycle_lab.cabling import LONG_FIG8, long_events
+    from cocycle_lab.loops import companion_itinerary
+    text = {'trefoil': LONG_TREFOIL, 'fig8': LONG_FIG8,
+            'torus25': LONG_TORUS25}[name]
+    levs = long_events(text)
+    forward, backward = ITINERARIES[name]
+    assert list(companion_itinerary(levs)) == forward
+    assert list(companion_itinerary(levs, start=(len(levs), 1, -1))) == backward

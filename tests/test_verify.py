@@ -41,6 +41,19 @@ def test_semi_regular_variant_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize('seed,want', [
+    # kind 'tangle': a cancelling generator pair in the closing tangle
+    (1, ([1, -1, 1], 'U 2 ; X+ 1 ; X+ 1 ; X+ 1 ; A 2')),
+    # kind 'pair': a distant crossing pair in the long word
+    (7, ([1], 'U 2 ; X+ 1 ; X+ 2 ; X- 2 ; X+ 1 ; X+ 1 ; A 2')),
+    # kind 'curls': a Whitney pair of opposite curls
+    (5, ([1], 'U 2 ; X+ 1 ; U 3 ; X+ 3 ; A 4 ; U 4 ; X- 4 ; A 3 ; '
+              'X+ 1 ; X+ 1 ; A 2')),
+])
+def test_semi_regular_variant_outputs(seed, want):
+    assert verify.semi_regular_variant([1], verify.CABLE_FIXTURES[0][2], seed) == want
+
+
 def test_report_summary_text():
     rep = verify.run_suite('prop1')
     assert 'prop1' in rep.summary()
