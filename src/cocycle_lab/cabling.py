@@ -16,15 +16,11 @@ from .gauss import w1
 from .moves import R1Create
 
 
-def braid_events(word, over=None, cid_start=1):
+def braid_events(word):
     """Crossing events for a braid word of signed generator indices:
     +i is X+ at position i, -i is X- at position i."""
-    out = []
-    cid = cid_start
-    for g in word:
-        out.append(MorseEvent('X', abs(g), '+' if g > 0 else '-', cid))
-        cid += 1
-    return out
+    return [MorseEvent('X', abs(g), '+' if g > 0 else '-', cid)
+            for cid, g in enumerate(word, 1)]
 
 
 def full_twist_word(n):
@@ -38,17 +34,16 @@ def bundle_swap_rows(p, n):
     return [[(p - 1) + r + k for k in range(n)] for r in range(n, 0, -1)]
 
 
-def n_cable(events, n, cid_start=None):
+def n_cable(events, n):
     """n-cable of a Morse word.
 
     Returns (cabled events, cid map); the map sends each original
-    crossing id to its n*n block ids in word order.
+    crossing id to its n*n block ids in word order, numbered from one
+    above the word's largest id.
     """
-    if cid_start is None:
-        cid_start = max([e.cid for e in events if e.kind == 'X'], default=0) + 1
     out = []
     cid_map = {}
-    nxt = cid_start
+    nxt = max([e.cid for e in events if e.kind == 'X'], default=0) + 1
     for ev in events:
         q = n * (ev.pos - 1) + 1
         if ev.kind == 'U':
@@ -91,12 +86,11 @@ def closed_cable(tangle_events, long_events, n):
     return AnnularDiagram(n, events, w0=n)
 
 
-def n_curl(n, over='+', variant='above', cid_start=None):
-    """n-cable of a single kink on the base strand: the curl every strand
-    of the diagram gets dragged through in the rotation loop."""
-    kink = R1Create(0, 1, over, variant, cid=1).kink_events()
-    events, _ = n_cable(kink, n, cid_start=cid_start)
-    return events
+def n_curl(n):
+    """n-cable of a single positive kink looping above the base strand:
+    the curl every strand of the diagram gets dragged through in the
+    rotation loop."""
+    return n_cable(R1Create(0, 1, '+', 'above', cid=1).kink_events(), n)[0]
 
 
 # ---------------------------------------------------------------------------

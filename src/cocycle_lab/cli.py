@@ -55,7 +55,8 @@ def _knot_text(spec):
             raise UsageError(f"E_IO: cannot read {spec}: {exc}") from None
     if any(tok in spec for tok in ('U ', 'A ', 'X+', 'X-')) or spec == '':
         return spec
-    raise UsageError(f"unknown knot {spec!r}: not a builtin, file, or Morse text")
+    raise UsageError(f"E_KNOT: unknown knot {spec!r}: not a builtin, file, "
+                     f"or Morse text")
 
 
 def _tangle_word(text):
@@ -63,11 +64,10 @@ def _tangle_word(text):
     word = []
     for tok in text.replace(',', ' ').split():
         inv = tok.endswith("'")
-        if inv:
-            tok = tok[:-1]
-        if tok.startswith('s'):
-            tok = tok[1:]
-        g = int(tok)
+        try:
+            g = int(tok.removesuffix("'").removeprefix('s'))
+        except ValueError:
+            raise UsageError(f"E_TANGLE: bad braid generator {tok!r}") from None
         word.append(-abs(g) if inv or g < 0 else g)
     return word
 
@@ -371,6 +371,11 @@ def _check_n(args):
                          f"got {args.n}")
 
 
+# codes for the errors whose messages carry none; any other is E_ARGS
+_ERROR_CODES = {HostError: 'E_HOST', PlannerError: 'E_PLAN',
+                oracle.OracleCapError: 'E_CAP'}
+
+
 def run(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -380,7 +385,10 @@ def run(argv=None):
         return args.func(args)
     except (UsageError, DiagramError, MoveError, HostError, PlannerError,
             oracle.OracleCapError, ValueError) as exc:
-        print(f"cocycle-lab: {exc}", file=sys.stderr)
+        msg = str(exc)
+        if not msg.startswith('E_'):
+            msg = f"{_ERROR_CODES.get(type(exc), 'E_ARGS')}: {msg}"
+        print(f"cocycle-lab: {msg}", file=sys.stderr)
         return 2
 
 

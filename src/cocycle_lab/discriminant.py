@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
-from .moves import (Exchange, Movie, MoveError, R2Create, R2Delete, R3,
-                    _other, r3_triple)
+from .moves import Exchange, Movie, MoveError, R2Create, R2Delete, R3, _other
 
 # half twist word the meridian starts from, and the walk around the
 # octagon: ('B', k) is a triple point move at word offset k, ('C', k) a
@@ -267,35 +266,22 @@ def random_contractible_loop(host, length, seed):
 
 
 def _applicable_moves(d, rng):
+    """R3, Exchange and R2Delete at each slot, and four random R2Creates,
+    in that order, kept where their check passes."""
     evs = d.events
-    out = []
-    for s in range(len(evs) - 2):
-        if r3_triple(evs, s):
-            try:
-                R3(s).apply(d)
-                out.append(R3(s))
-            except MoveError:
-                pass
+    cands = [R3(s) for s in range(len(evs) - 2)]
     for s in range(len(evs) - 1):
-        try:
-            Exchange(s).apply(d)
-            out.append(Exchange(s))
-        except MoveError:
-            pass
-        try:
-            R2Delete(s).apply(d)
-            out.append(R2Delete(s))
-        except MoveError:
-            pass
+        cands += [Exchange(s), R2Delete(s)]
     # a couple of random creations rather than the full slot * position
     # grid, to keep the option list balanced
     for _ in range(4):
-        s = rng.randrange(len(evs) + 1)
-        p = rng.randrange(1, 5)
-        o = rng.choice('+-')
+        cands.append(R2Create(rng.randrange(len(evs) + 1), rng.randrange(1, 5),
+                              rng.choice('+-')))
+    out = []
+    for mv in cands:
         try:
-            R2Create(s, p, o).apply(d)
-            out.append(R2Create(s, p, o))
+            mv.check(d)
         except (MoveError, DiagramError):
-            pass
+            continue
+        out.append(mv)
     return out

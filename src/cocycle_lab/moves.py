@@ -13,6 +13,10 @@ cancellation.
 Slots index the gaps of the cyclic event word: slot t sits just before
 event t, slot 0 at the ray.
 
+Each move a random walk proposes (R1Delete, R2Create, R2Delete, R3,
+Exchange) states its validity rule once, in check: it raises the move's
+error or returns what apply needs, and apply starts by calling it.
+
 Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
 R2Delete and a Rearrange that passes its window check) build the state
 they leave behind from their parent's without walking the whole diagram
@@ -83,35 +87,26 @@ class R1Create(Move):
         return self.cid if self.cid > 0 else diagram.max_cid() + 1
 
 
-def _match_kink(events, slot):
-    """Identify a kink word at events[slot:slot+3]; return its crossing."""
-    if slot + 3 > len(events):
-        return None
-    a, b, c = events[slot:slot + 3]
-    if a.kind != 'U' or b.kind != 'X' or c.kind != 'A':
-        return None
-    if a.pos == b.pos and a.pos == c.pos + 1:
-        return b  # above: U(p+1) X(p+1) A(p)
-    if a.pos == b.pos and c.pos == a.pos + 1:
-        return b  # below: U(p) X(p) A(p+1)
-    return None
-
-
 @dataclass(frozen=True)
 class R1Delete(Move):
     slot: int
 
+    def check(self, diagram):
+        """The crossing id of the kink word U(p+1) X(p+1) A(p) (above) or
+        U(p) X(p) A(p+1) (below) at slot; E_R1 if there is none."""
+        evs = diagram.events
+        if 0 <= self.slot <= len(evs) - 3:
+            a, b, c = evs[self.slot:self.slot + 3]
+            if ((a.kind, b.kind, c.kind) == ('U', 'X', 'A') and a.pos == b.pos
+                    and abs(a.pos - c.pos) == 1):
+                return b.cid
+        raise MoveError('E_R1', f"no kink at slot {self.slot}")
+
     def apply(self, diagram):
-        self.deleted_cid(diagram)       # E_R1 unless a kink sits at slot
+        self.check(diagram)
         evs = list(diagram.events)
         del evs[self.slot:self.slot + 3]
         return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
-
-    def deleted_cid(self, diagram):
-        b = _match_kink(diagram.events, self.slot)
-        if b is None:
-            raise MoveError('E_R1', f"no kink at slot {self.slot}")
-        return b.cid
 
 
 @dataclass(frozen=True)
@@ -134,24 +129,29 @@ class R2Create(Move):
     cid1: int = 0
     cid2: int = 0
 
-    def apply(self, diagram):
+    def check(self, diagram):
+        """The slot the pair goes in, the width there and the two ids."""
         top = diagram.max_cid()
         c1 = self.cid1 if self.cid1 > 0 else top + 1
         c2 = self.cid2 if self.cid2 > 0 else max(c1, top) + 1
         if c1 == c2:
             raise MoveError('E_ID', "tangency needs two distinct ids")
-        pair = [MorseEvent('X', self.pos, self.over_first, c1),
-                MorseEvent('X', self.pos, _other(self.over_first), c2)]
-        evs = list(diagram.events)
-        s = slice(self.slot, None).indices(len(evs))[0]
-        evs[s:s] = pair
+        s = slice(self.slot, None).indices(len(diagram.events))[0]
         w = diagram.widths()
         ws = w[s] if s < len(w) else diagram.w0
-        if not fits(pair[0], ws):
+        if not fits(MorseEvent('X', self.pos, self.over_first, c1), ws):
             raise DiagramError('E_POS', f"crossing at {self.pos} exceeds width {ws}")
-        g = diagram.gauss()
-        if c1 in g.signs or c2 in g.signs:
+        signs = diagram.gauss().signs
+        if c1 in signs or c2 in signs:
             raise DiagramError('E_ID', "duplicate crossing ids")
+        return s, ws, c1, c2
+
+    def apply(self, diagram):
+        s, ws, c1, c2 = self.check(diagram)
+        evs = list(diagram.events)
+        evs[s:s] = [MorseEvent('X', self.pos, self.over_first, c1),
+                    MorseEvent('X', self.pos, _other(self.over_first), c2)]
+        w, g = diagram.widths(), diagram.gauss()
         gaps = [token_gap(diagram, s, p) for p in (self.pos, self.pos + 1)]
         if None in gaps or gaps[0][0] == gaps[1][0]:
             return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
@@ -177,15 +177,20 @@ class R2Delete(Move):
 
     slot: int
 
-    def apply(self, diagram):
+    def check(self, diagram):
+        """The opposite-flag pair X(p) X(p) at slot."""
         evs = diagram.events
-        if self.slot + 2 > len(evs):
+        if not 0 <= self.slot <= len(evs) - 2:
             raise MoveError('E_R2', "slot out of range")
         a, b = evs[self.slot:self.slot + 2]
         if not (a.kind == 'X' and b.kind == 'X' and a.pos == b.pos
                 and a.over == _other(b.over)):
             raise MoveError('E_R2', f"no cancelling pair at slot {self.slot}")
-        out = list(evs)
+        return a, b
+
+    def apply(self, diagram):
+        a, b = self.check(diagram)
+        out = list(diagram.events)
         del out[self.slot:self.slot + 2]
         w = list(diagram.widths())
         del w[self.slot:self.slot + 2]
@@ -203,7 +208,7 @@ _R3_FORBIDDEN = {('+', '-', '+'), ('-', '+', '-')}
 
 def r3_triple(events, slot):
     """The three crossing events of a triple point pattern at slot."""
-    if slot + 3 > len(events):
+    if not 0 <= slot <= len(events) - 3:
         return None
     a, b, c = events[slot:slot + 3]
     if not all(e.kind == 'X' for e in (a, b, c)):
@@ -249,13 +254,17 @@ class R3(Move):
 
     slot: int
 
-    def apply(self, diagram):
+    def check(self, diagram):
+        """The triple point pattern at slot, if its heights are totally ordered."""
         trip = r3_triple(diagram.events, self.slot)
         if trip is None:
             raise MoveError('E_R3', f"no triple point pattern at slot {self.slot}")
-        a, b, c = trip
-        if (a.over, b.over, c.over) in _R3_FORBIDDEN:
+        if (trip[0].over, trip[1].over, trip[2].over) in _R3_FORBIDDEN:
             raise MoveError('E_R3', "strand heights are cyclic, move is not planar")
+        return trip
+
+    def apply(self, diagram):
+        trip = a, b, c = self.check(diagram)
         evs = list(diagram.events)
         evs[self.slot:self.slot + 3] = [
             MorseEvent('X', b.pos, c.over, c.cid),
@@ -304,13 +313,19 @@ class Exchange(Move):
 
     slot: int
 
-    def apply(self, diagram):
-        evs = list(diagram.events)
+    def check(self, diagram):
+        """The two crossings at slot, if they act on disjoint strand pairs."""
+        evs = diagram.events
         if not 0 <= self.slot < len(evs) - 1:
             raise MoveError('E_EXCHANGE', "slot out of range")
         a, b = evs[self.slot], evs[self.slot + 1]
         if a.kind != 'X' or b.kind != 'X' or abs(a.pos - b.pos) < 2:
             raise MoveError('E_EXCHANGE', "events share a strand")
+        return a, b
+
+    def apply(self, diagram):
+        a, b = self.check(diagram)
+        evs = list(diagram.events)
         evs[self.slot], evs[self.slot + 1] = b, a
         return AnnularDiagram._derive(diagram, evs, diagram.gauss())
 
@@ -494,13 +509,11 @@ def verify_movie(movie, mode='semi-regular', require_closed=True):
     count, after = 1, movie.start
     for before, mv, after in movie.steps():
         if isinstance(mv, R1Create):
-            cid = mv.created_cid(before)
-            mark = after.gauss().marking(cid)
+            mark = after.gauss().marking(mv.created_cid(before))
             if mark not in allowed_kinks:
                 raise MoveError('E_KINK', f"kink of marking {mark} after move {count}")
         if isinstance(mv, R1Delete):
-            cid = mv.deleted_cid(before)
-            mark = before.gauss().marking(cid)
+            mark = before.gauss().marking(mv.check(before))
             if mark not in allowed_kinks:
                 raise MoveError('E_KINK', f"kink of marking {mark} at move {count}")
         check_state(after, f"after move {count}")

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocycle_lab.cli import build_parser, run
 
@@ -193,3 +196,68 @@ def test_knot_file_is_read(tmp_path, capsys):
     path.write_text('U 2 ; X+ 1 ; X+ 1 ; X+ 1 ; A 2\n')
     assert run(['invariant', 'v2', '--knot', str(path)]) == 0
     assert capsys.readouterr().out.strip() == '1'
+
+
+@pytest.mark.parametrize('argv, code', [
+    (['eval', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',
+      '--w1', '1', '--a', '5'], 'E_ARGS'),
+    (['invariant', 'c2k', '--knot', 'trefoil', '--k', '-1'], 'E_ARGS'),
+    (['cable', '--tangle', 'sx', '--knot', 'trefoil', '--n', '2'], 'E_TANGLE'),
+    (['cable', '--tangle', 's1s2', '--knot', 'trefoil', '--n', '2'], 'E_TANGLE'),
+    (['eval', '--push', '--knot', 'nonesuch', '--n', '2', '--a', '1'], 'E_KNOT'),
+    (['loops', '--cube', '--n', '2', '--windings', '1', '1', '1'], 'E_HOST'),
+    (['pairing', '--left', 'trefoil', '--right', 'trefoil', '--n', '2'], 'E_PLAN'),
+    (['eval', '--rot', '--tangle', 's1,s2', '--knot', 'trefoil', '--n', '3'],
+     'E_PLAN'),
+])
+def test_library_errors_carry_a_code(argv, code, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith(f'cocycle-lab: {code}: ')
+
+
+# argv fragments argparse accepts: each command with the flags it takes
+_FLAGS = {
+    'cable': ('--tangle', '--knot', '--n'),
+    'loops --push': ('--tangle', '--knot', '--n'),
+    'eval': ('--tangle', '--knot', '--n', '--a'),
+    'eval --push': ('--tangle', '--knot', '--n', '--a'),
+    'eval --rot': ('--tangle', '--knot', '--n', '--a'),
+    'eval --scan': ('--tangle', '--knot', '--n', '--a'),
+    'eval --full-twist': ('--tangle', '--knot', '--n', '--a'),
+    'invariant v2': ('--tangle', '--knot', '--n'),
+    'invariant c2k': ('--tangle', '--knot', '--n', '--k'),
+    'oracle conway': ('--knot',),
+}
+_REQUIRED = {'cable': ('--knot', '--n'), 'loops': ('--n',), 'eval': ('--n',),
+             'invariant': ('--knot',), 'oracle': ('--knot',)}
+_VALUES = {
+    '--tangle': st.sampled_from(('', 's1', "s1'", 's2', 's1,s2', "s2,s1'",
+                                 's1 s1 s1', '-1', '0', 's3', 'sx', 's1s2',
+                                 "s1''", "'", 's')),
+    '--knot': st.sampled_from(('unknot', 'trefoil', 'fig8', 'mirror-trefoil',
+                               'torus25', 'trefoil.morse', 'nonesuch', '',
+                               'X+ 1', 'U 2 ; X+ 1 ; A 2', 'U 2 ; X+ 3 ; A 2',
+                               'U 1', 'U 2 ; X+ 1 ; X+ 1 ; A 1')),
+    '--n': st.integers(-1, 3),
+    '--a': st.integers(-1, 3),
+    '--k': st.integers(-1, 3),
+}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_accepted_argv_ends_in_a_status_with_a_coded_error(data):
+    command = data.draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    argv = command.split()
+    for flag in _FLAGS[command]:
+        if flag in _REQUIRED[argv[0]] or data.draw(st.booleans(), label=f"{flag}?"):
+            argv += [flag, str(data.draw(_VALUES[flag], label=flag))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    assert status in (0, 1, 2), argv
+    if status == 2:
+        assert err.getvalue().startswith('cocycle-lab: E_'), (argv, err.getvalue())
+    assert 'Traceback' not in err.getvalue(), argv

@@ -105,3 +105,18 @@ def test_embedded_tangency_loops_skip_hosts_with_negative_loops(monkeypatch):
     monkeypatch.setattr(AnnularDiagram, 'check_no_negative_loops',
                         lambda self: (False, [1]))
     assert list(embedded_tangency_loops(d, '+')) == []
+
+
+def test_contractible_walks_are_pinned():
+    # the 300 walks of seeds 0-299 at length 6 (3,600 moves): the option
+    # lists of _applicable_moves and their rng draws must not change
+    import hashlib
+
+    from cocycle_lab.verify import corpus_diagrams
+    hosts = corpus_diagrams()
+    digest = hashlib.sha256()
+    for seed in range(300):
+        movie = random_contractible_loop(hosts[seed % len(hosts)][1], 6, seed)
+        digest.update((repr(movie.moves) + "\n").encode())
+    assert digest.hexdigest() == (
+        'd5891cef2ed1a1dc9e3825bf007df81df95030de51fe3555002f7f0e26d7c325')

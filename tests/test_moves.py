@@ -183,3 +183,25 @@ def test_canonical_key_separates_what_all_rotations_separate():
         rotated = any(diagrams[i].tokens == diagrams[j].tokens[r:] + diagrams[j].tokens[:r]
                       for r in range(len(diagrams[j].tokens)))
         assert same == rotated
+
+
+def test_r1_delete_check_names_the_kink_crossing():
+    d = trefoil_ring()
+    for variant in ('above', 'below'):
+        for over in '+-':
+            mv = R1Create(2, 1, over, variant)
+            after = mv.apply(d)
+            assert R1Delete(2).check(after) == mv.created_cid(d)
+            for slot in (-1, 1, 3, len(after.events) - 2):
+                with pytest.raises(MoveError, match='E_R1'):
+                    R1Delete(slot).check(after)
+
+
+def test_negative_slots_are_refused_with_a_code():
+    d = push_loop([1, 2], LONG_TREFOIL, 3).start
+    for slot in range(-len(d.events) - 3, 0):
+        for mv, code in ((R3(slot), 'E_R3'), (R2Delete(slot), 'E_R2'),
+                         (R1Delete(slot), 'E_R1')):
+            with pytest.raises(MoveError) as err:
+                mv.apply(d)
+            assert err.value.code == code

@@ -25,8 +25,9 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import (Exchange, Movie, MoveError, R2Create,
-                               R2Delete, R3, RayShift, Rearrange, r3_triple)
+from cocycle_lab.moves import (Exchange, Movie, MoveError, R1Delete,
+                               R2Create, R2Delete, R3, RayShift, Rearrange,
+                               r3_triple)
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
@@ -473,3 +474,37 @@ def test_tangency_errors_match_the_full_build():
         with pytest.raises(MoveError) as err:
             R2Delete(slot).apply(d)
         assert err.value.code == 'E_R2'
+
+
+# ---------------------------------------------------------------------------
+# check decides exactly what apply decides
+
+def _raised(fn, d):
+    """(class, code, message) of what fn(d) raises, or None."""
+    try:
+        fn(d)
+    except Exception as exc:
+        return type(exc), getattr(exc, 'code', None), str(exc)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_check_raises_exactly_when_apply_raises(data):
+    d = data.draw(st.sampled_from(_graft_hosts()), label="host")
+    k, top = len(d.events), d.max_cid()
+    slot = data.draw(st.integers(-k - 3, k + 3), label="slot")
+    kind = data.draw(st.sampled_from((R3, Exchange, R2Delete, R1Delete,
+                                      R2Create)), label="kind")
+    if kind is R2Create:
+        ids = st.sampled_from((0, 0, 0, 1, top, top + 1, top + 2))
+        mv = R2Create(slot, data.draw(st.integers(-1, max(d.widths()) + 1),
+                                      label="pos"),
+                      data.draw(st.sampled_from("+-"), label="over"),
+                      data.draw(ids, label="cid1"), data.draw(ids, label="cid2"))
+    else:
+        mv = kind(slot)
+    want = _raised(mv.apply, d)
+    assert _raised(mv.check, d) == want, repr(mv)
+    # every refusal is a coded error, out-of-range slots included
+    assert want is None or want[1] is not None, (repr(mv), want)
