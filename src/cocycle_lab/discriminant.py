@@ -251,18 +251,15 @@ def commutation_loop(host, r3_slot, far_slot, pos, over):
 def random_contractible_loop(host, length, seed):
     """Random applicable word of moves followed by its reverse inverse."""
     rng = random.Random(seed)
-    cur = host
-    walk = []
+    movie, cur = Movie(host), host
     for _ in range(length):
         options = _applicable_moves(cur, rng)
         if not options:
             break
-        mv = rng.choice(options)
-        walk.append(mv)
-        cur = mv.apply(cur)
-    out = Movie(host, walk)
-    back = out.reversed()
-    return Movie(host, walk + back.moves)
+        cur = movie.append(rng.choice(options))
+    for mv in movie.reversed().moves:
+        movie.append(mv)
+    return movie
 
 
 def _applicable_moves(d, rng):

@@ -85,17 +85,16 @@ class _Transport:
     """Emits moves while keeping the unit decomposition in sync."""
 
     def __init__(self, diagram, units, mover_index, b, d):
-        self.cur = diagram
+        self.movie = Movie(diagram)
+        self.cur = diagram      # the movie's final state
         self.n = diagram.n
         self.units = units
         self.mi = mover_index
         self.b = b              # base strand position of the mover bundle
         self.d = d              # +1 rightward along the word
-        self.moves = []
 
     def emit(self, mv):
-        self.cur = mv.apply(self.cur)
-        self.moves.append(mv)
+        self.cur = self.movie.append(mv)
 
     def slot_of(self, ui):
         return sum(u.length for u in self.units[:ui])
@@ -307,7 +306,7 @@ def push_loop(tangle_word, long_text, n):
     shape = [(e.kind, e.pos, e.over) for e in start.events]
     if [(e.kind, e.pos, e.over) for e in tr.cur.events] != shape:
         raise PlannerError("push loop does not close")
-    return Movie(start, tr.moves)
+    return tr.movie
 
 
 def _twist_base(tangle_word, long_text, n):
@@ -355,22 +354,20 @@ def _twist_slide(tangle_word, long_text, n, forward):
         tr.follow(companion_itinerary(levs, start=(m, 1, -1)))
         _relabel_through_tangle(tr, forward=False)
         tr.ray_pass()
-    return Movie(start, tr.moves), tr
+    return tr.movie
 
 
 def rotation_loop(tangle_word, long_text, n):
     """Rotation of the solid torus around its core, as a loop of
     diagrams: the full twist representing the framing curl slides once
     around the satellite against the orientation of the core."""
-    movie, _ = _twist_slide(tangle_word, long_text, n, forward=False)
-    return movie
+    return _twist_slide(tangle_word, long_text, n, forward=False)
 
 
 def push_full_twist_loop(tangle_word, long_text, n):
     """The inverse rotation: the full twist is pushed once around along
     the core orientation."""
-    movie, _ = _twist_slide(tangle_word, long_text, n, forward=True)
-    return movie
+    return _twist_slide(tangle_word, long_text, n, forward=True)
 
 
 def pairing(left_text, right_text, n):
@@ -398,4 +395,4 @@ def scan_path(tangle_word, long_text, n):
     levs, start, units = _twist_base(tangle_word, long_text, n)
     tr = _Transport(start, units, len(units) - 1, 1, -1)
     tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
-    return Movie(start, tr.moves)
+    return tr.movie

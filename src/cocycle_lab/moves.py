@@ -77,6 +77,8 @@ class R1Create(Move):
         raise MoveError('E_VARIANT', f"unknown kink variant {self.variant!r}")
 
     def apply(self, diagram):
+        if not 0 <= self.slot <= len(diagram.events):
+            raise MoveError('E_R1', "slot out of range")
         piece = R1Create(self.slot, self.pos, self.over, self.variant,
                          self.created_cid(diagram))
         evs = list(diagram.events)
@@ -130,13 +132,15 @@ class R2Create(Move):
     cid2: int = 0
 
     def check(self, diagram):
-        """The slot the pair goes in, the width there and the two ids."""
+        """The width at slot and the two ids."""
+        s = self.slot
+        if not 0 <= s <= len(diagram.events):
+            raise MoveError('E_R2', "slot out of range")
         top = diagram.max_cid()
         c1 = self.cid1 if self.cid1 > 0 else top + 1
         c2 = self.cid2 if self.cid2 > 0 else max(c1, top) + 1
         if c1 == c2:
             raise MoveError('E_ID', "tangency needs two distinct ids")
-        s = slice(self.slot, None).indices(len(diagram.events))[0]
         w = diagram.widths()
         ws = w[s] if s < len(w) else diagram.w0
         if not fits(MorseEvent('X', self.pos, self.over_first, c1), ws):
@@ -144,10 +148,11 @@ class R2Create(Move):
         signs = diagram.gauss().signs
         if c1 in signs or c2 in signs:
             raise DiagramError('E_ID', "duplicate crossing ids")
-        return s, ws, c1, c2
+        return ws, c1, c2
 
     def apply(self, diagram):
-        s, ws, c1, c2 = self.check(diagram)
+        ws, c1, c2 = self.check(diagram)
+        s = self.slot
         evs = list(diagram.events)
         evs[s:s] = [MorseEvent('X', self.pos, self.over_first, c1),
                     MorseEvent('X', self.pos, _other(self.over_first), c2)]
@@ -420,32 +425,72 @@ def canonical_gauss_key(gd):
 def same_gauss(d1, d2):
     """Do two diagrams have the same Gauss data up to rotation and
     renaming of crossing ids?"""
-    return canonical_gauss_key(d1.gauss()) == canonical_gauss_key(d2.gauss())
+    g1, g2 = d1.gauss(), d2.gauss()
+    if g1.tokens == g2.tokens and g1.signs == g2.signs:
+        return True
+    return canonical_gauss_key(g1) == canonical_gauss_key(g2)
 
 
 @dataclass
 class Movie:
-    """A loop (or path) in the space of class-n diagrams."""
+    """A loop (or path) in the space of class-n diagrams.
+
+    A movie records the state each move leaves behind the first time
+    that move is applied, and holds those states for as long as it
+    lives.  steps uses a recorded state only while start and the move at
+    its index are the very objects (an `is` check) it was recorded
+    from; from the first index where either differs, it applies the
+    moves again.  So a movie built by hand, a reassigned start, or a
+    moves list edited, cut or extended in place never yields a stale
+    state.  The planners and the random walks grow their movies with
+    append, which applies each move once.
+    """
 
     start: AnnularDiagram
     moves: list = field(default_factory=list)
+    _origin: object = field(default=None, init=False, repr=False, compare=False)
+    _done: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _after: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def _record(self):
+        """The recorded moves and states, emptied if start was replaced."""
+        if self._origin is not self.start:
+            self._origin, self._done, self._after = self.start, [], []
+        return self._done, self._after
 
     def steps(self):
-        """Yield (state_before, move, state_after): the one replay loop."""
+        """Yield (state_before, move, state_after): the one replay loop.
+        Moves with a recorded state are not applied again."""
+        done, after = self._record()
         cur = self.start
-        for mv in self.moves:
-            nxt = mv.apply(cur)
+        for i, mv in enumerate(self.moves):
+            if i == len(done) or done[i] is not mv:
+                del done[i:], after[i:]
+                after.append(mv.apply(cur))
+                done.append(mv)
+            nxt = after[i]
             yield cur, mv, nxt
             cur = nxt
+        del done[len(self.moves):], after[len(self.moves):]
+
+    def append(self, mv):
+        """Apply mv to the final state, record the move and the state it
+        leaves behind, and return that state."""
+        done, after = self._record()
+        # equal moves leave equal states, so list equality (identity
+        # first, at C speed) is enough to trust the last recorded state
+        cur = after[-1] if done and done == self.moves else self.final()
+        nxt = mv.apply(cur)
+        self.moves.append(mv)
+        done.append(mv)
+        after.append(nxt)
+        return nxt
 
     def states(self):
         return [self.start] + [after for _, _, after in self.steps()]
 
     def final(self):
-        cur = self.start
-        for _, _, cur in self.steps():
-            pass
-        return cur
+        return self.states()[-1]
 
     def is_closed(self):
         return same_gauss(self.final(), self.start)
@@ -454,11 +499,8 @@ class Movie:
         """The inverse loop.  Only moves with an evident inverse appear in
         generated loops, so this is total on what the package produces."""
         states = self.states()
-        out = []
-        for st, mv in zip(states, self.moves):
-            out.append(_invert(mv, st))
-        inv = Movie(states[-1], list(reversed(out)))
-        return inv
+        out = [_invert(mv, st) for st, mv in zip(states, self.moves)]
+        return Movie(states[-1], out[::-1])
 
 
 def _invert(mv, state_before):

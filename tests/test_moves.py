@@ -3,14 +3,15 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cocycle_lab.annular import MorseEvent
+from cocycle_lab import moves, verify
+from cocycle_lab.annular import AnnularDiagram, MorseEvent
 from cocycle_lab.cabling import (LONG_MIRROR_TREFOIL, LONG_TREFOIL,
                                  braid_events, closed_cable, long_events)
 from cocycle_lab.gauss import GaussDiagram
 from cocycle_lab.loops import push_loop
 from cocycle_lab.moves import (Movie, MoveError, R1Create, R1Delete, R2Create,
                                R2Delete, R3, RayShift, Rearrange,
-                               canonical_gauss_key, r3_triple)
+                               canonical_gauss_key, r3_triple, same_gauss)
 
 
 def trefoil_ring():
@@ -205,3 +206,37 @@ def test_negative_slots_are_refused_with_a_code():
             with pytest.raises(MoveError) as err:
                 mv.apply(d)
             assert err.value.code == code
+
+
+def test_create_slots_outside_the_word_are_refused():
+    # slots index the gaps 0..len(events); a negative slot no longer counts
+    # from the end, and a slot past the end no longer appends
+    d = verify.corpus_diagrams()[0][1]
+    k = len(d.events)
+    for slot in (-1, -2, -k, -k - 1, k + 1, 10 ** 6):
+        for mv, code in ((R2Create(slot, 1, '+'), 'E_R2'),
+                         (R1Create(slot, 1, '+'), 'E_R1')):
+            with pytest.raises(MoveError) as err:
+                mv.apply(d)
+            assert err.value.code == code, repr(mv)
+        with pytest.raises(MoveError, match='E_R2'):
+            R2Create(slot, 1, '+').check(d)
+    for slot in (0, k):
+        assert len(R2Create(slot, 1, '+').apply(d).events) == k + 2
+        assert len(R1Create(slot, 1, '+').apply(d).events) == k + 3
+
+
+def test_same_gauss_compares_the_data_before_the_canonical_key(monkeypatch):
+    d = two_cable()
+    shifted = RayShift(1).apply(d)
+    calls = []
+    key = moves.canonical_gauss_key
+    monkeypatch.setattr(moves, 'canonical_gauss_key',
+                        lambda gd: calls.append(gd) or key(gd))
+    copy = AnnularDiagram(d.n, list(d.events), w0=d.w0)
+    assert same_gauss(d, copy) and calls == []
+    # rotated tokens need the key, and agree with it
+    assert d.gauss().tokens != shifted.gauss().tokens
+    assert same_gauss(d, shifted) == (key(d.gauss()) == key(shifted.gauss()))
+    assert len(calls) == 2
+    assert not same_gauss(d, R2Create(0, 1, '+').apply(d))

@@ -5,10 +5,17 @@ check derive the state they leave behind from the parent's Gauss data
 instead of traversing the diagram again.  After every move of every movie here,
 the replayed state must agree with the same event word built from
 scratch by the public, fully validating constructor.
+
+A movie records the states its moves leave behind.  Every recorded
+state must equal the one a fresh replay gives, an edited movie must
+apply its moves again from the first changed index, and each movie is
+replayed once.
 """
 
+import dataclasses
 import functools
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -19,13 +26,15 @@ from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
                                 parse_morse)
 from cocycle_lab.cabling import (LONG_FIG8, LONG_TREFOIL, braid_events,
                                  closed_cable, long_events, normalize_w1)
+from cocycle_lab.cli import run
+from cocycle_lab.cocycle import evaluate_all
 from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       commutation_loop, meridian_loop,
                                       quad_host, random_contractible_loop,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import (Exchange, Movie, MoveError, R1Delete,
+from cocycle_lab.moves import (Exchange, Move, Movie, MoveError, R1Delete,
                                R2Create, R2Delete, R3, RayShift, Rearrange,
                                r3_triple)
 
@@ -115,17 +124,23 @@ def _first_loop(candidates):
     raise AssertionError("no candidate loop replays")
 
 
-def test_tangency_replay_validates_only_the_start(monkeypatch):
-    cube = _first_loop(
+def _cube_loop():
+    return _first_loop(
         lambda order=order, flags=flags: tangency_loop(
             *tangency_host(order, (1, 1, 0), flags, 2), flags[0])
         for order in itertools.permutations((1, 2, 3))
         for flags in itertools.product("+-", repeat=3))
+
+
+def _commutation_loop():
     d = push_loop([1], TREFOIL1, 2).states()[7]
-    commutation = _first_loop(
+    return _first_loop(
         lambda s=s: commutation_loop(d, s, len(d.events) - 1, 1, '+')
         for s in range(len(d.events) - 2) if r3_triple(d.events, s))
-    for movie in (cube, commutation):
+
+
+def test_tangency_replay_validates_only_the_start(monkeypatch):
+    for movie in (_cube_loop(), _commutation_loop()):
         assert {type(mv) for mv in movie.moves} == {R2Create, R2Delete, R3}
         assert _validations(monkeypatch, movie) == 1
 
@@ -508,3 +523,198 @@ def test_check_raises_exactly_when_apply_raises(data):
     assert _raised(mv.check, d) == want, repr(mv)
     # every refusal is a coded error, out-of-range slots included
     assert want is None or want[1] is not None, (repr(mv), want)
+
+
+# ---------------------------------------------------------------------------
+# Recorded states: a movie keeps the state each move left behind
+
+def _count_applies(monkeypatch):
+    """The (move, state) pairs every Move.apply receives from now on; the
+    list keeps them alive, so their ids stay unique."""
+    calls = []
+    for cls in Move.__subclasses__():
+        def counted(self, diagram, _apply=cls.apply):
+            calls.append((self, diagram))
+            return _apply(self, diagram)
+        monkeypatch.setattr(cls, 'apply', counted)
+    return calls
+
+
+def _tetrahedron_loop():
+    movie = meridian_loop(*quad_host(GLOBAL_TYPES[1], (0, 0, 0, 2), 2))
+    movie.final()
+    return movie
+
+
+RECORDED_MOVIES = {
+    **{f"push n={n}": functools.partial(push_loop, list(range(1, n)), TREFOIL1, n)
+       for n in (2, 3, 4)},
+    **{f"{planner.__name__} {name}": functools.partial(planner, [1], knot, 2)
+       for planner in (rotation_loop, scan_path, push_full_twist_loop)
+       for name, knot in (("trefoil", TREFOIL1), ("fig8", FIG8_M1))},
+    "tetrahedron": _tetrahedron_loop,
+    "cube": _cube_loop,
+    "commutation": _commutation_loop,
+    **{f"contractible {name}": functools.partial(random_contractible_loop, d, 6, 7)
+       for name, d in verify.corpus_diagrams()},
+}
+
+
+def assert_same_state(got, want, where):
+    assert got.events == want.events, where
+    assert got.w0 == want.w0, where
+    assert got.widths() == want.widths(), where
+    g, h = got.gauss(), want.gauss()
+    assert g.tokens == h.tokens, where
+    assert g.signs == h.signs, where
+    assert g.markings() == h.markings(), where
+
+
+def assert_fresh_replay_matches(movie, states):
+    """states must be what a replay of movie's moves from a rebuilt copy
+    of its start, with nothing recorded, gives."""
+    start = movie.start
+    rebuilt = AnnularDiagram(start.n, list(start.events), w0=start.w0)
+    fresh = Movie(rebuilt, list(movie.moves)).states()
+    assert len(states) == len(fresh) == len(movie.moves) + 1
+    for k, (got, want) in enumerate(zip(states, fresh)):
+        assert_same_state(got, want, f"state {k}")
+
+
+@pytest.mark.parametrize("label", list(RECORDED_MOVIES))
+def test_recorded_states_match_a_fresh_replay(label, monkeypatch):
+    movie = RECORDED_MOVIES[label]()
+    calls = _count_applies(monkeypatch)
+    states = movie.states()
+    assert calls == [], "a built movie replays from its recorded states"
+    assert_fresh_replay_matches(movie, states)
+
+
+def _states_and_applies(movie, calls):
+    """The movie's states and the number of moves applied to yield them."""
+    before = len(calls)
+    states = movie.states()
+    return states, len(calls) - before
+
+
+def test_edited_moves_replay_from_the_first_changed_index(monkeypatch):
+    movie = push_loop([1], TREFOIL1, 2)
+    m = len(movie.moves)
+    old = movie.states()
+    calls = _count_applies(monkeypatch)
+    k = m // 2
+
+    # a new but equal move object at k: the states from k on are rebuilt
+    movie.moves[k] = dataclasses.replace(movie.moves[k])
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == m - k
+    assert all(a is b for a, b in zip(states[:k + 1], old))
+    assert all(a is not b for a, b in zip(states[k + 1:], old[k + 1:]))
+    assert_fresh_replay_matches(movie, states)
+    assert _states_and_applies(movie, calls)[1] == 0
+
+    # cut: nothing is applied, and no state past the cut is yielded
+    del movie.moves[k:]
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == 0 and len(states) == k + 1
+    assert movie.final() is states[-1]
+
+    # extended in place: only the new moves are applied
+    rest = [dataclasses.replace(mv) for mv in push_loop([1], TREFOIL1, 2).moves[k:]]
+    movie.moves += rest
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == m - k
+    assert_fresh_replay_matches(movie, states)
+
+    # a reassigned start, even an equal one: every move is applied again
+    start = movie.start
+    movie.start = AnnularDiagram(start.n, list(start.events), w0=start.w0)
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == m and states[0] is movie.start
+    assert_fresh_replay_matches(movie, states)
+
+
+def test_edits_that_change_the_states_yield_no_stale_state(monkeypatch):
+    cables = [d for _, d in verify.corpus_diagrams()]
+    movie = Movie(cables[0], [R2Create(0, 1, '+'), R2Delete(0), RayShift(1)])
+    old = movie.states()
+    calls = _count_applies(monkeypatch)
+
+    movie.moves[0] = R2Create(0, 1, '-')
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == 3
+    assert states[1].events != old[1].events
+    assert_fresh_replay_matches(movie, states)
+
+    # a different start diagram the same moves apply to
+    movie.start = cables[1]
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == 3
+    assert states[3].events != old[3].events
+    assert_fresh_replay_matches(movie, states)
+
+
+def test_append_extends_from_the_true_final_state(monkeypatch):
+    movie = push_loop([1], TREFOIL1, 2)
+    moves = list(movie.moves)
+    k = len(moves) // 2
+    calls = _count_applies(monkeypatch)
+
+    # after a cut, append applies only its own move, and records it
+    del movie.moves[k:]
+    movie.append(RayShift(1))
+    assert len(calls) == 1 and movie.moves[:k] == moves[:k]
+    states, applied = _states_and_applies(movie, calls)
+    assert applied == 0
+    assert_fresh_replay_matches(movie, states)
+
+    # after a move inside the list is replaced by a different one, append
+    # first applies the moves from there again
+    cable = verify.corpus_diagrams()[0][1]
+    movie = Movie(cable, [R2Create(0, 1, '+'), R2Delete(0)])
+    movie.final()
+    movie.moves[0] = R2Create(0, 1, '-')
+    calls.clear()
+    after = movie.append(RayShift(1))
+    assert len(calls) == 3
+    assert after is movie.final() and len(calls) == 3
+    assert_fresh_replay_matches(movie, movie.states())
+
+
+# ---------------------------------------------------------------------------
+# One replay per movie
+
+def test_cli_loops_applies_each_move_once(monkeypatch, capsys):
+    calls = _count_applies(monkeypatch)
+    assert run(['loops', '--push', '--tangle', 's1,s2', '--knot', 'torus27',
+                '--n', '3', '--w1', '2']) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload['closed']
+    assert len(calls) == len(payload['moves']) > 0
+
+
+def test_evaluating_a_planner_movie_applies_nothing(monkeypatch):
+    movie = push_loop([1, 2], TREFOIL1, 3)
+    calls = _count_applies(monkeypatch)
+    assert evaluate_all(movie) == {1: 2, 2: 2}
+    assert calls == []
+
+
+def test_cube_suite_applies_each_move_once(monkeypatch):
+    movies = []
+    check_loop_zero = verify._check_loop_zero
+
+    def collect(rep, movie, case):
+        movies.append(movie)
+        return check_loop_zero(rep, movie, case)
+
+    monkeypatch.setattr(verify, '_check_loop_zero', collect)
+    calls = _count_applies(monkeypatch)
+    assert verify.run_suite('cube').passed
+    applied = Counter((id(mv), id(state)) for mv, state in calls)
+    assert movies and max(applied.values()) == 1
+    total = len(calls)
+    for movie in movies:
+        for before, mv, _ in movie.steps():
+            assert applied[id(mv), id(before)] == 1, repr(mv)
+    assert len(calls) == total
