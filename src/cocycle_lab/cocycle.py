@@ -7,6 +7,11 @@ homological markings then classify the move, and the two contributing
 classes are the ones marked (a, n, a) and (n, n, n).  Each contribution
 couples the move's local weight (an arrow count over the instantaneous
 diagram) with a linking-style count along the ml chord.
+
+Everything is read off the markings and token positions the replay
+leaves on the state before the move, and the arrow counts pair only the
+marking-n crossings that count (the move's f-crossings, or hm) with the
+marking-0 ones.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauss import match_n0_pairs
-from .moves import R3, _r3_strand_tokens, r3_triple
+from .moves import R3, MoveError, _r3_strand_tokens
 
 
 class CocycleError(ValueError):
@@ -42,14 +47,13 @@ def classify_r3(state, slot, n=None):
     """TripleData for the R3 move applied at this slot of this state."""
     if n is None:
         n = state.n
-    trip = r3_triple(state.events, slot)
-    if trip is None:
-        raise CocycleError(f"no triple point pattern at slot {slot}")
-    met = _r3_strand_tokens(trip)
-    # a strand passes over ('h') one crossing per strand below it
+    try:
+        met = _r3_strand_tokens(R3(slot).check(state))
+    except MoveError as exc:
+        raise CocycleError(str(exc)) from exc
+    # a strand passes over ('h') one crossing per strand below it; R3's
+    # check leaves only totally ordered heights, scored 0, 1 and 2
     score = [(m[0][0] == 'h') + (m[1][0] == 'h') for m in met]
-    if sorted(score) != [0, 1, 2]:
-        raise CocycleError("strand heights are cyclic at this slot")
     hi = {cid for _, cid in met[score.index(2)]}
     lo = {cid for _, cid in met[score.index(0)]}
     (d,), (hm,), (ml,) = hi & lo, hi - lo, lo - hi
@@ -97,13 +101,12 @@ def f_crossings(g, triple, n):
 def w2_p(g, triple, n):
     """Arrow count at the move: interleaved (n, 0) pairs whose n-crossing
     is an f-crossing of the move."""
-    fc = set(f_crossings(g, triple, n))
-    return sum(w for qn, q0, w in match_n0_pairs(g, n) if qn in fc)
+    return sum(w for _, _, w in match_n0_pairs(g, n, f_crossings(g, triple, n)))
 
 
 def w2_hm(g, triple, n):
     """Arrow count of the hm crossing itself: its (n, 0) pairings."""
-    return sum(w for qn, q0, w in match_n0_pairs(g, n) if qn == triple.hm)
+    return sum(w for _, _, w in match_n0_pairs(g, n, (triple.hm,)))
 
 
 def _arc_ml(g, triple):

@@ -194,12 +194,15 @@ def tangency_loop(host, block_slot, over):
 
     The transverse strand slides across the tangency bigon: one triple
     move through each crossing of the pair, then the pair is cancelled
-    and recreated on the far side.  The two triple moves use the same
-    two outer crossings but opposite partners from the pair.  over is
-    the flag of the leading pair crossing, as built by tangency_host.
+    and recreated on the far side under its own ids, so the loop ends on
+    the start's Gauss data, not a renaming of it.  The two triple moves
+    use the same two outer crossings but opposite partners from the
+    pair.  over is the flag of the leading pair crossing, as built by
+    tangency_host.
     """
     s = block_slot
-    moves = [R3(s + 1), R3(s), R2Delete(s + 2), R2Create(s, 1, over)]
+    pair = host.events[s].cid, host.events[s + 1].cid
+    moves = [R3(s + 1), R3(s), R2Delete(s + 2), R2Create(s, 1, over, *pair)]
     return Movie(host, moves)
 
 

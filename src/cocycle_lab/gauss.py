@@ -39,7 +39,9 @@ class GaussDiagram:
     Nothing changes tokens or signs after construction: moves that edit
     the Gauss data build a new diagram, and states whose Gauss data a
     move keeps share this object.  So the token positions and the
-    markings are computed once per diagram and carry along a movie.
+    markings are computed once per diagram and carry along a movie; an
+    edit that keeps the token count (a triple point move) also shares
+    its parent's markings dict, so a chain of them computes it once.
     """
 
     tokens: list
@@ -89,7 +91,8 @@ class GaussDiagram:
         tokens inside each cut, and a tangency move inserts or drops
         crossing tokens.  So when the token count is kept, no other
         token moves and no crossing end passes a ray passage: the other
-        positions and every marking carry over.  Otherwise the new
+        positions carry over, and the parent's markings, computed here
+        if need be, are shared with the new diagram.  Otherwise the new
         diagram is indexed afresh.
         """
         tokens = list(self.tokens)
@@ -103,7 +106,7 @@ class GaussDiagram:
         for start, stop, _ in cuts:
             for idx in range(start, stop):
                 g._pos[tokens[idx]] = idx
-        g._marks = self._marks
+        g._marks = self.markings()
         return g
 
     def in_open_arc(self, idx, start, stop):
@@ -117,12 +120,6 @@ class GaussDiagram:
         c = self.position('h', cid2)
         d = self.position('f', cid2)
         return self.in_open_arc(c, a, b) != self.in_open_arc(d, a, b)
-
-    def cyclic_order(self, indices):
-        """Check that the given token indices appear in this cyclic order."""
-        base = indices[0]
-        shifted = sorted((i - base) % len(self.tokens) for i in indices)
-        return shifted == [(i - base) % len(self.tokens) for i in indices]
 
     def canonical_tokens(self):
         """Cyclic-rotation-invariant token tuple, for planar-equality tests."""
@@ -181,30 +178,31 @@ def w1(diagram):
     return sum(diagram.signs[c] for c in diagram.signs if marks[c] == 1)
 
 
-def match_n0_pairs(diagram, n=None):
+def match_n0_pairs(diagram, n=None, tops=None):
     """All interleaved pairs (q_n, q_0) of a marking-n and a marking-0
     crossing whose endpoints sit in cyclic order
 
         foot(q_n), head(q_0), head(q_n), foot(q_0).
 
     Yields (cid_n, cid_0, weight) with weight the product of signs.
+    tops, if given, limits q_n to those of its crossings that have
+    marking n.
     """
     if n is None:
         n = diagram.homology_class
-    marks = diagram.markings()
-    top = [c for c in diagram.signs if marks[c] == n]
-    bot = [c for c in diagram.signs if marks[c] == 0]
+    marks, signs, pos = diagram.markings(), diagram.signs, diagram._pos
+    size = len(diagram.tokens)
+    bot = [(c, pos[('h', c)], pos[('f', c)]) for c in signs if marks[c] == 0]
     out = []
-    for qn in top:
-        fn = diagram.position('f', qn)
-        hn = diagram.position('h', qn)
-        for q0 in bot:
-            if q0 == qn:
-                continue
-            h0 = diagram.position('h', q0)
-            f0 = diagram.position('f', q0)
-            if diagram.cyclic_order([fn, h0, hn, f0]):
-                out.append((qn, q0, diagram.signs[qn] * diagram.signs[q0]))
+    for qn in signs if tops is None else tops:
+        if marks[qn] != n:
+            continue
+        fn = pos[('f', qn)]
+        span = (pos[('h', qn)] - fn) % size
+        for q0, h0, f0 in bot:
+            # q0 == qn never passes: its foot offset (f0 - fn) is 0
+            if 0 < (h0 - fn) % size < span < (f0 - fn) % size:
+                out.append((qn, q0, signs[qn] * signs[q0]))
     return out
 
 
