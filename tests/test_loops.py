@@ -115,3 +115,33 @@ def test_companion_itinerary_records(name):
     forward, backward = ITINERARIES[name]
     assert list(companion_itinerary(levs)) == forward
     assert list(companion_itinerary(levs, start=(len(levs), 1, -1))) == backward
+
+
+def test_planner_movies_are_pinned():
+    # the move lists of the benchmark's 12 transport-grid loops, scan at
+    # n = 3, the n = 2 pairing and the 60 scan-invariance variants: a
+    # change to the planner must not change the moves it emits
+    import hashlib
+
+    from cocycle_lab.cabling import LONG_FIG8, LONG_TORUS27
+    from cocycle_lab.verify import CABLE_FIXTURES, semi_regular_variant
+    knots = {'trefoil': LONG_TREFOIL, 'torus25': LONG_TORUS25,
+             'torus27': LONG_TORUS27, 'fig8': LONG_FIG8}
+    grid = [(push_loop, 'trefoil', 1, 2), (push_loop, 'trefoil', 1, 3),
+            (push_loop, 'trefoil', 1, 4), (push_loop, 'torus27', 2, 2),
+            (push_loop, 'torus27', 2, 3), (push_loop, 'torus25', 2, 2)]
+    for knot, w1 in (('trefoil', 1), ('fig8', -1)):
+        grid += [(rotation_loop, knot, w1, 2), (scan_path, knot, w1, 2),
+                 (push_full_twist_loop, knot, w1, 2)]
+    movies = [plan(list(range(1, n)), normalize_w1(knots[knot], w1), n)
+              for plan, knot, w1, n in grid]
+    movies += [scan_path([1, 2], TREFOIL1, 3), pairing("", TREFOIL1, 2)]
+    for _, tangle, text, n in CABLE_FIXTURES[:3]:
+        for s in range(20):
+            movies.append(scan_path(*semi_regular_variant(tangle, text, s * 31 + 7), n))
+    digest = hashlib.sha256()
+    for movie in movies:
+        digest.update((repr(movie.moves) + "\n").encode())
+    assert len(movies) == 74
+    assert digest.hexdigest() == (
+        'f536971cd120053ccbd215c58f7b5921183df54a072e24dfaa2f488729954886')
