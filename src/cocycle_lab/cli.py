@@ -99,17 +99,19 @@ def _caps_from_env():
         if not part:
             continue
         key, _, val = part.partition('=')
+        key = key.strip()
+        if key != 'crossings':
+            raise UsageError(f"E_CAPS: COCYCLE_LAB_CAPS key {key!r} is unknown; "
+                             f"the only cap is 'crossings'")
         try:
-            caps[key.strip()] = int(val)
+            caps[key] = int(val)
         except ValueError:
             raise UsageError(f"E_CAPS: COCYCLE_LAB_CAPS entry {part!r} "
                              f"needs an integer value") from None
+        if caps[key] < 0:
+            raise UsageError(f"E_CAPS: COCYCLE_LAB_CAPS entry {part!r} "
+                             f"needs a value >= 0")
     return caps
-
-
-def _apply_caps(caps):
-    if 'crossings' in caps:
-        oracle.CROSSING_CAP = caps['crossings']
 
 
 def _diagram_payload(d):
@@ -269,8 +271,6 @@ def _cmd_verify(args):
 
 
 def _cmd_oracle(args):
-    if args.what != 'conway':
-        raise UsageError(f"unknown oracle {args.what!r}")
     d = closed_cable([], long_events(_knot_text(args.knot)), 1)
     poly = oracle.conway(d.gauss())
     _emit({'conway': {str(k): v for k, v in sorted(poly.items())},
@@ -288,8 +288,6 @@ def _cmd_invariant(args):
         print(w1(g))
     elif args.what == 'c2k':
         print(c2k(g, args.k))
-    else:
-        raise UsageError(f"unknown invariant {args.what!r}")
     return 0
 
 
@@ -379,8 +377,9 @@ _ERROR_CODES = {HostError: 'E_HOST', PlannerError: 'E_PLAN',
 def run(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    cap = oracle.CROSSING_CAP   # the caps hold for this call only
     try:
-        _apply_caps(_caps_from_env())
+        oracle.CROSSING_CAP = _caps_from_env().get('crossings', cap)
         _check_n(args)
         return args.func(args)
     except (UsageError, DiagramError, MoveError, HostError, PlannerError,
@@ -390,6 +389,8 @@ def run(argv=None):
             msg = f"{_ERROR_CODES.get(type(exc), 'E_ARGS')}: {msg}"
         print(f"cocycle-lab: {msg}", file=sys.stderr)
         return 2
+    finally:
+        oracle.CROSSING_CAP = cap
 
 
 def main():

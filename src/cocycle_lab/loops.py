@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annular import AnnularDiagram, MorseEvent, strand_step
-from .cabling import braid_events, full_twist_word, long_events, n_cable, renumber
+from .cabling import (braid_events, bundle_swap_rows, closed_cable, full_twist_word,
+                      long_events, n_cable, renumber)
 from .moves import Exchange, Movie, R3, RayShift, Rearrange
 
 
@@ -71,27 +72,27 @@ class _Unit:
     q: int          # base strand position of the unit, 0 if untracked
 
 
-def _cable_units(levs, n, orig_offset=0):
+def _cable_units(levs, n):
     units = []
     for i, ev in enumerate(levs):
         q = n * (ev.pos - 1) + 1
         kind = {'U': 'cup', 'A': 'cap', 'X': 'block'}[ev.kind]
         length = n if ev.kind in 'UA' else n * n
-        units.append(_Unit(kind, i + orig_offset, length, q))
+        units.append(_Unit(kind, i, length, q))
     return units
 
 
 class _Transport:
     """Emits moves while keeping the unit decomposition in sync."""
 
-    def __init__(self, diagram, units, mover_index, b, d):
+    def __init__(self, diagram, units, d):
         self.movie = Movie(diagram)
         self.cur = diagram      # the movie's final state
         self.n = diagram.n
         self.units = units
-        self.mi = mover_index
-        self.b = b              # base strand position of the mover bundle
-        self.d = d              # +1 rightward along the word
+        self.mi = next(i for i, u in enumerate(units) if u.kind == 'mover')
+        self.b = 1              # base strand position of the mover bundle
+        self.d = d              # +1 rightward along the word, -1 leftward
 
     def emit(self, mv):
         self.cur = self.movie.append(mv)
@@ -106,61 +107,51 @@ class _Transport:
         s = self.slot_of(self.mi)
         return list(self.cur.events[s:s + self.mover().length])
 
-    def _swap_units(self, left, right, new_left_events, new_right_events):
-        """Rearrange exchanging two adjacent units, with rewritten events."""
-        window = tuple(new_right_events + new_left_events)
-        self.emit(Rearrange(self.slot_of(left), len(window), window))
-        self.units[left], self.units[right] = self.units[right], self.units[left]
+    def _rewrite_pair(self, new_mov, swap):
+        """Rearrange writing the mover as new_mov past the unit it faces
+        (swap, a hop) or on the same side of it (a turn)."""
+        other = self.mi + self.d
+        vs = self.slot_of(other)
+        vevs = list(self.cur.events[vs:vs + self.units[other].length])
+        window = tuple(vevs + new_mov if (self.d == 1) == swap else new_mov + vevs)
+        self.emit(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
+        if swap:
+            self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
+            self.mi = other
 
     # -- elementary compiled steps ------------------------------------
 
     def hop(self):
-        other = self.mi + self.d
-        v = self.units[other]
+        v = self.units[self.mi + self.d]
         span = 2 * self.n
-        mov = self.mover_events()
-        if v.kind == 'cup':
-            shift = 2 * self.n if self.d == 1 else -2 * self.n
-            cut = v.q if self.d == 1 else v.q + span
-        elif v.kind == 'cap':
-            shift = -2 * self.n if self.d == 1 else 2 * self.n
-            cut = v.q + span if self.d == 1 else v.q
-        else:
+        if v.kind == 'block':
+            if not (self.b + self.n <= v.q or self.b >= v.q + span):
+                raise PlannerError("hop across a block the mover touches")
             shift, cut = 0, 0
-        if v.kind == 'block' and not (self.b + self.n <= v.q or self.b >= v.q + span):
-            raise PlannerError("hop across a block the mover touches")
+        elif (v.kind == 'cup') == (self.d == 1):
+            # past a cup rightward or a cap leftward the mover moves up
+            shift, cut = span, v.q
+        else:
+            shift, cut = -span, v.q + span
 
         def adj(p):
             return p + shift if p >= cut else p
 
-        new_mov = [MorseEvent(e.kind, adj(e.pos), e.over, e.cid) for e in mov]
-        vs = self.slot_of(other)
-        vevs = list(self.cur.events[vs:vs + v.length])
-        if self.d == 1:
-            self._swap_units(self.mi, other, new_left_events=new_mov,
-                             new_right_events=vevs)
-        else:
-            self._swap_units(other, self.mi, new_left_events=vevs,
-                             new_right_events=new_mov)
+        self._rewrite_pair([MorseEvent(e.kind, adj(e.pos), e.over, e.cid)
+                            for e in self.mover_events()], swap=True)
         self.b = adj(self.b)
-        self.mi = other
 
     def turn(self):
-        other = self.mi + self.d
-        v = self.units[other]
+        v = self.units[self.mi + self.d]
         if v.kind != ('cap' if self.d == 1 else 'cup'):
             raise PlannerError(f"turn into {v.kind}")
         q, n = v.q, self.n
         if self.b not in (q, q + n):
             raise PlannerError("turn from a stray bundle")
-        new_mov = [MorseEvent('X', 2 * q + 2 * n - 2 - e.pos, e.over, e.cid)
-                   for e in reversed(self.mover_events())]
         # the window holds the turnback too: the mover alone reconnects
         # its strands differently at the window boundary
-        vs = self.slot_of(other)
-        vevs = self.cur.events[vs:vs + v.length]
-        window = tuple(new_mov + vevs if self.d == 1 else vevs + new_mov)
-        self.emit(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
+        self._rewrite_pair([MorseEvent('X', 2 * q + 2 * n - 2 - e.pos, e.over, e.cid)
+                            for e in reversed(self.mover_events())], swap=False)
         self.b = q + n if self.b == q else q
         self.d = -self.d
 
@@ -179,41 +170,30 @@ class _Transport:
         else:
             self._refactor_block(other, 'rows')
         mov_slot = self.slot_of(self.mi)
-        k = self.mover().length
-        if self.d == 1:
-            for idx in range(k - 1, -1, -1):
-                self._thread_right(mov_slot + idx, v.length)
-        else:
-            for idx in range(k):
-                self._thread_left(mov_slot + idx, v.length)
+        # thread the mover's events from its leading end
+        for idx in range(self.mover().length)[::-self.d]:
+            self._thread(mov_slot + idx, v.length)
         self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
         self.mi = other
         self.b = q + n if want_lower else q
 
-    def _thread_right(self, slot, count):
-        target = slot + count
-        while slot < target:
+    def _thread(self, slot, count):
+        """Carry the event at slot across the next count events in the
+        direction d, by exchanges and triple point moves."""
+        d = self.d
+        # where the Exchange and the R3 start, relative to slot
+        ex, r3 = (0, 0) if d == 1 else (-1, -2)
+        while count > 0:
             evs = self.cur.events
-            if abs(evs[slot].pos - evs[slot + 1].pos) >= 2:
-                self.emit(Exchange(slot))
-                slot += 1
+            if abs(evs[slot].pos - evs[slot + d].pos) >= 2:
+                self.emit(Exchange(slot + ex))
+                slot += d
+                count -= 1
             else:
-                self.emit(R3(slot))
-                slot += 2
-        if slot != target:
-            raise PlannerError("threading overshot the block")
-
-    def _thread_left(self, slot, count):
-        target = slot - count
-        while slot > target:
-            evs = self.cur.events
-            if abs(evs[slot].pos - evs[slot - 1].pos) >= 2:
-                self.emit(Exchange(slot - 1))
-                slot -= 1
-            else:
-                self.emit(R3(slot - 2))
-                slot -= 2
-        if slot != target:
+                self.emit(R3(slot + r3))
+                slot += 2 * d
+                count -= 2
+        if count:
             raise PlannerError("threading overshot the block")
 
     def _refactor_block(self, ui, style):
@@ -232,10 +212,10 @@ class _Transport:
             over = e.over
         out = []
         if style == 'rows':
-            for r in range(n, 0, -1):
-                for k in range(n):
+            for r, row in zip(range(n, 0, -1), bundle_swap_rows(q, n)):
+                for k, pos in enumerate(row):
                     cid = pair_cid[frozenset((('A', r), ('B', k + 1)))]
-                    out.append(MorseEvent('X', (q - 1) + r + k, over, cid))
+                    out.append(MorseEvent('X', pos, over, cid))
         else:
             for j in range(1, n + 1):
                 for step, pos in enumerate(range(q + n + j - 2, q + j - 2, -1)):
@@ -245,21 +225,15 @@ class _Transport:
             self.emit(Rearrange(s, v.length, tuple(out)))
 
     def ray_pass(self):
-        k = self.mover().length
-        if self.d == 1:
-            if self.mi != len(self.units) - 1:
-                raise PlannerError("ray pass away from the word end")
-            for _ in range(k):
-                self.emit(RayShift(-1))
-            self.units.insert(0, self.units.pop())
-            self.mi = 0
-        else:
-            if self.mi != 0:
-                raise PlannerError("ray pass away from the word start")
-            for _ in range(k):
-                self.emit(RayShift(1))
-            self.units.append(self.units.pop(0))
-            self.mi = len(self.units) - 1
+        """Carry the mover across the ray to the other end of the word."""
+        end = len(self.units) - 1 if self.d == 1 else 0
+        if self.mi != end:
+            raise PlannerError("ray pass away from the word "
+                               + ("end" if self.d == 1 else "start"))
+        for _ in range(self.mover().length):
+            self.emit(RayShift(-self.d))
+        self.mi = len(self.units) - 1 - end
+        self.units.insert(self.mi, self.units.pop(end))
 
     def normalize_blocks(self):
         for ui, u in enumerate(self.units):
@@ -294,12 +268,9 @@ def push_loop(tangle_word, long_text, n):
     """
     levs = long_events(long_text)
     tangle = braid_events(tangle_word)
-    cable, _ = n_cable(levs, n)
-    events = renumber(list(tangle) + cable)
-    start = AnnularDiagram(n, events, w0=n)
-
+    start = closed_cable(tangle, levs, n)
     units = [_Unit('mover', -1, len(tangle), 1)] + _cable_units(levs, n)
-    tr = _Transport(start, units, 0, 1, 1)
+    tr = _Transport(start, units, 1)
     tr.follow(companion_itinerary(levs))
     tr.ray_pass()
     tr.normalize_blocks()
@@ -309,7 +280,9 @@ def push_loop(tangle_word, long_text, n):
     return tr.movie
 
 
-def _twist_base(tangle_word, long_text, n):
+def _twist_transport(tangle_word, long_text, n, d):
+    """The long word's events, and a transport of the full twist that
+    follows the n-cable of [tangle][n-cable][full twist] in direction d."""
     levs = long_events(long_text)
     tangle = braid_events(tangle_word)
     cable, _ = n_cable(levs, n)
@@ -318,16 +291,16 @@ def _twist_base(tangle_word, long_text, n):
     start = AnnularDiagram(n, events, w0=n)
     units = ([_Unit('tangle', -1, len(tangle), 1)] + _cable_units(levs, n)
              + [_Unit('mover', -1, len(twist), 1)])
-    return levs, start, units
+    return levs, _Transport(start, units, d)
 
 
-def _relabel_through_tangle(tr, forward):
+def _relabel_through_tangle(tr):
     """Slide the full twist across the closing tangle without moves.
 
     Works when tangle and twist concatenate to a power of the same
     generator block, so the word admits the shifted split.
     """
-    ti = tr.mi + (1 if forward else -1)
+    ti = tr.mi + tr.d
     tu = tr.units[ti]
     if tu.kind != 'tangle':
         raise PlannerError("twist is not facing the tangle")
@@ -341,33 +314,32 @@ def _relabel_through_tangle(tr, forward):
     tr.mi = ti
 
 
-def _twist_slide(tangle_word, long_text, n, forward):
-    levs, start, units = _twist_base(tangle_word, long_text, n)
-    m = len(levs)
-    tr = _Transport(start, units, len(units) - 1, 1, 1 if forward else -1)
-    if forward:
-        tr.ray_pass()
-        _relabel_through_tangle(tr, forward=True)
-        # facing the cable now, still moving rightward
-        tr.follow(companion_itinerary(levs))
-    else:
-        tr.follow(companion_itinerary(levs, start=(m, 1, -1)))
-        _relabel_through_tangle(tr, forward=False)
-        tr.ray_pass()
-    return tr.movie
+def _scan(tangle_word, long_text, n):
+    """The full twist swept leftward through the cable, up to the tangle."""
+    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
+    tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
+    return tr
 
 
 def rotation_loop(tangle_word, long_text, n):
     """Rotation of the solid torus around its core, as a loop of
     diagrams: the full twist representing the framing curl slides once
     around the satellite against the orientation of the core."""
-    return _twist_slide(tangle_word, long_text, n, forward=False)
+    tr = _scan(tangle_word, long_text, n)
+    _relabel_through_tangle(tr)
+    tr.ray_pass()
+    return tr.movie
 
 
 def push_full_twist_loop(tangle_word, long_text, n):
     """The inverse rotation: the full twist is pushed once around along
     the core orientation."""
-    return _twist_slide(tangle_word, long_text, n, forward=True)
+    levs, tr = _twist_transport(tangle_word, long_text, n, 1)
+    tr.ray_pass()
+    _relabel_through_tangle(tr)
+    # facing the cable now, still moving rightward
+    tr.follow(companion_itinerary(levs))
+    return tr.movie
 
 
 def pairing(left_text, right_text, n):
@@ -392,7 +364,4 @@ def scan_path(tangle_word, long_text, n):
     """The open half of the rotation loop: the full twist sweeps through
     the cable from its far end back to the tangle, without crossing the
     ray.  Not closed; its value already equals the rotation value."""
-    levs, start, units = _twist_base(tangle_word, long_text, n)
-    tr = _Transport(start, units, len(units) - 1, 1, -1)
-    tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
-    return tr.movie
+    return _scan(tangle_word, long_text, n).movie

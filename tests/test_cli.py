@@ -126,6 +126,33 @@ def test_bad_caps_env_is_a_coded_error(monkeypatch, capsys):
     assert captured.err.startswith('cocycle-lab: E_CAPS:')
 
 
+def test_caps_env_holds_for_one_call(monkeypatch, capsys):
+    monkeypatch.setenv('COCYCLE_LAB_CAPS', 'crossings=2')
+    assert run(['oracle', 'conway', '--knot', 'trefoil']) == 2
+    assert capsys.readouterr().err.startswith('cocycle-lab: E_CAP:')
+    monkeypatch.delenv('COCYCLE_LAB_CAPS')
+    assert run(['oracle', 'conway', '--knot', 'trefoil']) == 0
+    assert json.loads(capsys.readouterr().out)['text'] == '1 + z^2'
+
+
+@pytest.mark.parametrize('caps', ['crossing=1', 'crossings=-1'])
+def test_unknown_or_negative_cap_is_a_coded_error(monkeypatch, capsys, caps):
+    monkeypatch.setenv('COCYCLE_LAB_CAPS', caps)
+    assert run(['oracle', 'conway', '--knot', 'trefoil']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('cocycle-lab: E_CAPS:')
+
+
+@pytest.mark.parametrize('argv', [['oracle', 'foo', '--knot', 'trefoil'],
+                                  ['invariant', 'foo', '--knot', 'trefoil']])
+def test_unknown_oracle_or_invariant_is_refused_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert 'invalid choice' in capsys.readouterr().err
+
+
 def test_eval_explain_at_one_a(capsys):
     argv = ['eval', '--push', '--tangle', 's1,s2', '--knot', 'trefoil',
             '--n', '3', '--w1', '1', '--explain']
