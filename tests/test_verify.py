@@ -92,3 +92,25 @@ def test_loop_check_reports_an_open_path_before_an_evaluation_error(monkeypatch)
     with pytest.raises(cocycle.CocycleError):
         verify._check_loop_zero(rep, loop, 'loop')
     assert rep.checks == 0
+
+
+def test_cube_suite_loops_are_pinned(monkeypatch):
+    # every loop the cube suite checks, in order: its case label, the
+    # start's Gauss data and the moves
+    import hashlib
+
+    digest = hashlib.sha256()
+    count = 0
+
+    def record(rep, movie, case):
+        nonlocal count
+        g = movie.start.gauss()
+        line = (case, g.tokens, sorted(g.signs.items()), repr(movie.moves))
+        digest.update((repr(line) + "\n").encode())
+        count += 1
+
+    monkeypatch.setattr(verify, '_check_loop_zero', record)
+    verify.run_suite('cube')
+    assert count == 666
+    assert digest.hexdigest() == (
+        'a38f446a078b56c2fc11613f9370efd6e6fb6990ea63d6966960718e4e9ace46')
