@@ -251,9 +251,10 @@ class AnnularDiagram:
 
         Only for moves whose Gauss data follows from the parent's by a
         local edit (Exchange, R3, R2Create, R2Delete, a Rearrange that
-        passed its window check): the parent was validated, so the
-        derived state is as well.  It shares the parent's n and w0, and
-        its widths unless the move passes the new ones.
+        passed its window check), and for the flag variants of a
+        tangency host: the parent was validated, so the derived state is
+        as well.  It shares the parent's n and w0, and its widths unless
+        the move passes the new ones.
         """
         d = cls.__new__(cls)
         d.n, d.events, d.w0 = parent.n, events, parent.w0

@@ -40,6 +40,14 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as coded UsageErrors instead of
+    exiting; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"E_ARGS: {message}")
+
+
 def _knot_text(spec):
     """Builtin name, path to a .morse file, or literal Morse text."""
     if spec in BUILTIN_KNOTS:
@@ -292,7 +300,7 @@ def _cmd_invariant(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog='cocycle-lab',
         description='one-cocycle computations for cabled knots in the '
                     'solid torus')
@@ -375,10 +383,9 @@ _ERROR_CODES = {HostError: 'E_HOST', PlannerError: 'E_PLAN',
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     cap = oracle.CROSSING_CAP   # the caps hold for this call only
     try:
+        args = build_parser().parse_args(argv)
         oracle.CROSSING_CAP = _caps_from_env().get('crossings', cap)
         _check_n(args)
         return args.func(args)

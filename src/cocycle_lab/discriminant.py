@@ -14,9 +14,11 @@ number of times each connecting arc winds around the annulus.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
+from .gauss import GaussDiagram
 from .moves import Exchange, Movie, MoveError, R2Create, R2Delete, R3, _other
 
 # half twist word the meridian starts from, and the walk around the
@@ -81,6 +83,37 @@ def tangency_host(order, windings, flags, n):
     block = [(1, o), (1, _other(o)), (2, f), (1, g)]
     # net permutation of u ubar y z: a cycle moving the top strand down
     return _site_host(order, windings, n, block, (2, 0, 1))
+
+
+def tangency_hosts(order, windings, n):
+    """The eight flag variants (flags, host, block_slot) of one tangency
+    site, in itertools.product('+-', repeat=3) order.
+
+    Only the all-'+' host is built and validated: a flag changes no
+    strand's path, so flipping it swaps the 'h'/'f' ends of its
+    crossing's two tokens and negates the sign, and every other variant
+    is derived with that Gauss data.  The call raises HostError, before
+    any variant.
+    """
+    base, slot = tangency_host(order, windings, ('+', '+', '+'), n)
+    return ((flags, _reflagged(base, slot, flags), slot)
+            for flags in itertools.product('+-', repeat=3))
+
+
+def _reflagged(base, slot, flags):
+    o, f, g = flags
+    block = base.events[slot:slot + 4]
+    new = [MorseEvent('X', ev.pos, flag, ev.cid)
+           for ev, flag in zip(block, (o, _other(o), f, g))]
+    flipped = {ev.cid for ev, nv in zip(block, new) if ev.over != nv.over}
+    if not flipped:
+        return base
+    bg = base.gauss()
+    tokens = [(('f' if k == 'h' else 'h'), v) if k != 'r' and v in flipped
+              else (k, v) for k, v in bg.tokens]
+    signs = {cid: -s if cid in flipped else s for cid, s in bg.signs.items()}
+    events = base.events[:slot] + new + base.events[slot + 4:]
+    return AnnularDiagram._derive(base, events, GaussDiagram(tokens, signs))
 
 
 def _site_host(order, windings, n, block, perm):

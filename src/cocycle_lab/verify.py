@@ -20,7 +20,7 @@ from .cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TORUS25,
 from .cocycle import evaluate, evaluate_all, walk  # noqa: F401
 from .discriminant import (GLOBAL_TYPES, HostError, commutation_loop,
                            embedded_tangency_loops, meridian_loop, quad_host,
-                           random_contractible_loop, tangency_host,
+                           random_contractible_loop, tangency_hosts,
                            tangency_loop)
 from .gauss import c2k, lift_to_cover, v2
 from .loops import push_loop, scan_path
@@ -132,12 +132,15 @@ def suite_cube(params=None):
     for n in params.get("ns", (2, 3)):
         for order in itertools.permutations((1, 2, 3)):
             for ws in _windings(3, n):
-                for flags in itertools.product("+-", repeat=3):
+                try:
+                    variants = tangency_hosts(order, ws, n)
+                except (HostError, DiagramError):
+                    continue
+                for flags, host, slot in variants:
                     try:
-                        host, slot = tangency_host(order, ws, flags, n)
                         movie = tangency_loop(host, slot, flags[0])
                         movie.final()
-                    except (HostError, MoveError, DiagramError):
+                    except (MoveError, DiagramError):
                         # cyclic height combinations have no planar stratum
                         continue
                     _check_loop_zero(rep, movie, f"site {order} n={n} w={ws} f={flags}")

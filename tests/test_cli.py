@@ -147,10 +147,33 @@ def test_unknown_or_negative_cap_is_a_coded_error(monkeypatch, capsys, caps):
 @pytest.mark.parametrize('argv', [['oracle', 'foo', '--knot', 'trefoil'],
                                   ['invariant', 'foo', '--knot', 'trefoil']])
 def test_unknown_oracle_or_invariant_is_refused_by_the_parser(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('cocycle-lab: E_ARGS: ')
+    assert 'invalid choice' in err
+
+
+@pytest.mark.parametrize('argv, words', [
+    (['eval', '--push', '--knot', 'trefoil', '--n', 'x'],
+     "argument --n: invalid int value: 'x'"),
+    (['eval', '--push', '--knot', 'trefoil'],
+     'the following arguments are required: --n'),
+])
+def test_parser_usage_errors_are_coded(capsys, argv, words):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == f'cocycle-lab: E_ARGS: {words}\n'
+
+
+@pytest.mark.parametrize('argv', [['--help'], ['eval', '--help']])
+def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
-    assert exc.value.code == 2
-    assert 'invalid choice' in capsys.readouterr().err
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith('usage: cocycle-lab')
+    assert captured.err == ''
 
 
 def test_eval_explain_at_one_a(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cocycle_lab.cabling import (LONG_TREFOIL, braid_events, closed_cable,
@@ -7,7 +9,8 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       commutation_loop,
                                       embedded_tangency_loops, meridian_loop,
                                       quad_host, random_contractible_loop,
-                                      tangency_host, tangency_loop)
+                                      tangency_host, tangency_hosts,
+                                      tangency_loop)
 from cocycle_lab.moves import R3, r3_triple
 
 
@@ -30,6 +33,47 @@ def test_hosts_reject_class_zero():
         quad_host(GLOBAL_TYPES[1], (0, 0, 0, 0), 0)
     with pytest.raises(HostError, match='at least 1'):
         tangency_host((1, 2, 3), (0, 0, 0), ('+', '+', '+'), 0)
+
+
+def _host_data(host, slot):
+    g = host.gauss()
+    return (host.events, host.widths(), host.w0, g.tokens, g.signs,
+            g.markings(), slot)
+
+
+@pytest.mark.parametrize('n', [1, 2, 3, 4])
+def test_tangency_hosts_equal_their_full_builds(n):
+    from cocycle_lab.verify import _windings
+    for order in itertools.permutations((1, 2, 3)):
+        for ws in _windings(3, n):
+            variants = list(tangency_hosts(order, ws, n))
+            assert [v[0] for v in variants] == list(itertools.product('+-', repeat=3))
+            for flags, host, slot in variants:
+                want = _host_data(*tangency_host(order, ws, flags, n))
+                assert _host_data(host, slot) == want, (order, ws, flags)
+
+
+def test_tangency_hosts_refuse_what_tangency_host_refuses():
+    def refusal(build):
+        try:
+            build()
+        except HostError as exc:
+            return str(exc)
+        return None
+
+    refused = total = 0
+    for n in range(3):
+        windings = list(itertools.product(range(-1, n + 2), repeat=3))
+        windings += [(n,), (0, 0, 0, n)]
+        for order in [(1, 2, 3), (3, 1, 2), (1, 1, 2), (1, 2, 4)]:
+            for ws in windings:
+                # the call refuses, before any variant is drawn
+                got = refusal(lambda: tangency_hosts(order, ws, n))
+                for flags in itertools.product('+-', repeat=3):
+                    assert got == refusal(lambda: tangency_host(order, ws, flags, n))
+                refused += got is not None
+                total += 1
+    assert 0 < refused < total
 
 
 def test_meridian_loop_closes_and_vanishes():

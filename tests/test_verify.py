@@ -114,3 +114,26 @@ def test_cube_suite_loops_are_pinned(monkeypatch):
     assert count == 666
     assert digest.hexdigest() == (
         'a38f446a078b56c2fc11613f9370efd6e6fb6990ea63d6966960718e4e9ace46')
+
+
+def test_cube_suite_validates_each_site_once(monkeypatch):
+    # one full build per site: its flag variants are derived, not rebuilt
+    import itertools
+
+    from cocycle_lab.annular import AnnularDiagram
+    calls = []
+    validate = AnnularDiagram.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(AnnularDiagram, 'validate', counted)
+    verify.corpus_diagrams()
+    corpus = len(calls)
+    calls.clear()
+    assert verify.run_suite('cube').checks == 1064
+    sites = sum(1 for n in (2, 3) for _ in itertools.permutations((1, 2, 3))
+                for _ in verify._windings(3, n))
+    assert sites == 96
+    assert len(calls) <= sites + corpus
