@@ -50,3 +50,58 @@ def test_gauss_of_trefoil_closure():
     assert g.homology_class == 1
     assert len(g.signs) == 3
     assert all(s == 1 for s in g.signs.values())
+
+
+def _build_outcome(n, events, w0):
+    """The Gauss tokens and sorted signs of a full build, or its error code."""
+    try:
+        g = AnnularDiagram(n, events, w0=w0).gauss()
+    except DiagramError as exc:
+        return exc.code
+    return g.tokens, sorted(g.signs.items())
+
+
+def test_full_builds_are_pinned():
+    # every full build of three input sets, in order: short words over
+    # U/A/X at positions 1..3, closures of short braid words, and every
+    # state of the transport-grid movies rebuilt from its word
+    import hashlib
+    import itertools
+
+    from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS25, LONG_TORUS27,
+                                     braid_events, normalize_w1)
+    from cocycle_lab.loops import (push_full_twist_loop, push_loop,
+                                   rotation_loop, scan_path)
+
+    outcomes = []
+    alphabet = [(kind, pos, over) for pos in (1, 2, 3)
+                for kind, over in (('U', ''), ('A', ''), ('X', '+'), ('X', '-'))]
+    for w0 in range(4):
+        for size in range(4):
+            for word in itertools.product(alphabet, repeat=size):
+                events = [MorseEvent(kind, pos, over, cid if kind == 'X' else -1)
+                          for cid, (kind, pos, over) in enumerate(word, 1)]
+                outcomes.append(_build_outcome(1, events, w0))
+    for strands in (2, 3, 4):
+        gens = [g for i in range(1, strands) for g in (i, -i)]
+        for size in range(5):
+            for word in itertools.product(gens, repeat=size):
+                outcomes.append(_build_outcome(strands, braid_events(word), strands))
+    trefoil = normalize_w1(LONG_TREFOIL, 1)
+    grid = [(push_loop, trefoil, n) for n in (2, 3, 4)] + [
+        (push_loop, normalize_w1(LONG_TORUS27, 2), 2),
+        (push_loop, normalize_w1(LONG_TORUS27, 2), 3),
+        (push_loop, normalize_w1(LONG_TORUS25, 2), 2),
+    ] + [(planner, knot, 2)
+         for knot in (trefoil, normalize_w1(LONG_FIG8, -1))
+         for planner in (rotation_loop, scan_path, push_full_twist_loop)]
+    for planner, knot, n in grid:
+        for state in planner(list(range(1, n)), knot, n).states():
+            outcomes.append(_build_outcome(state.n, list(state.events), state.w0))
+
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update((repr(outcome) + "\n").encode())
+    assert len(outcomes) == 10451
+    assert digest.hexdigest() == (
+        'd649d3ebb6cfb24ca8fe1a50d6cca1bff1cd58314dcf1092ef6ca8f2d6decec3')

@@ -311,3 +311,45 @@ def test_accepted_argv_ends_in_a_status_with_a_coded_error(data):
     if status == 2:
         assert err.getvalue().startswith('cocycle-lab: E_'), (argv, err.getvalue())
     assert 'Traceback' not in err.getvalue(), argv
+
+
+def test_command_outputs_are_pinned(capsys):
+    # stdout, stderr and exit status of a fixed set of command lines:
+    # eval --explain over the transport grid, the other commands, and
+    # three coded errors
+    import hashlib
+
+    grid = [('--push', 'trefoil', '1', n) for n in (2, 3, 4)] + [
+        ('--push', 'torus27', '2', 2), ('--push', 'torus27', '2', 3),
+        ('--push', 'torus25', '2', 2),
+    ] + [(kind, knot, w1, 2) for knot, w1 in (('trefoil', '1'), ('fig8', '-1'))
+         for kind in ('--rot', '--scan', '--full-twist')]
+    lines = [['eval', kind, '--tangle', ','.join(f's{i}' for i in range(1, n)),
+              '--knot', knot, '--n', str(n), '--w1', w1, '--explain']
+             for kind, knot, w1, n in grid]
+    lines += [
+        ['pairing', '--left', 'unknot.morse', '--right', 'trefoil.morse',
+         '--n', '2', '--w1', '1', '--explain'],
+        ['loops', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',
+         '--w1', '1'],
+        ['loops', '--meridian', '2', '--n', '3', '--windings', '0', '1', '0', '2'],
+        ['loops', '--cube', '--n', '2', '--order', '2', '1', '3',
+         '--windings', '0', '1', '1', '--flags', '-', '+', '-'],
+        ['verify', '--suite', 'cube'],
+        ['verify', '--suite', 'commutation'],
+        ['verify', '--suite', 'prop1'],
+        ['verify', '--suite', 'ckr-oracle'],
+        ['invariant', 'v2', '--knot', 'fig8', '--tangle', 's1', '--n', '2'],
+        ['oracle', 'conway', '--knot', 'torus25'],
+        ['oracle', 'conway', '--knot', 'U 2 ; A 2 ; U 2 ; A 2'],
+        ['invariant', 'v2', '--knot', 'U 2 ; X+ 3 ; A 2'],
+        ['cable', '--tangle', '', '--knot', 'trefoil', '--n', '2'],
+    ]
+    digest = hashlib.sha256()
+    for argv in lines:
+        status = run(argv)
+        captured = capsys.readouterr()
+        digest.update(repr((argv, captured.out, captured.err, status)).encode())
+    assert len(lines) == 25
+    assert digest.hexdigest() == (
+        '02ac88994cd3064df0e60d7d72a03488942c44b79a1f88cff694ae0f9167c354')
