@@ -137,6 +137,11 @@ def window_strands(events, widths):
     crossing to its sign relative to the walk directions.  Returns None
     when some interior arc is on no piece, i.e. the window holds a
     closed component of its own.
+
+    A Rearrange checks its window with it, and full validation runs it
+    on the whole word as one window, both of whose boundaries are the
+    ray slice, then glues the pieces across the ray
+    (AnnularDiagram._traverse).
     """
     k = len(events)
     pieces, passes, ends = {}, {}, set()
@@ -241,8 +246,6 @@ class AnnularDiagram:
         self.n = n
         self.events = list(events)
         self.w0 = n if w0 is None else w0
-        self._widths = None
-        self._gauss = None
         self.validate()
 
     @classmethod
@@ -258,7 +261,7 @@ class AnnularDiagram:
         """
         d = cls.__new__(cls)
         d.n, d.events, d.w0 = parent.n, events, parent.w0
-        d._widths = parent.widths() if widths is None else widths
+        d._widths = parent._widths if widths is None else widths
         d._gauss = gauss
         return d
 
@@ -266,18 +269,17 @@ class AnnularDiagram:
 
     def widths(self):
         """Strand count of each slice; slice t precedes event t."""
-        if self._widths is not None:
-            return self._widths
+        return self._widths
+
+    def gauss(self):
+        return self._gauss
+
+    def validate(self):
         w = [self.w0]
         for ev in self.events:
             w.append(w[-1] + ev.delta)
-        if w[-1] != self.w0:
+        if w.pop() != self.w0:
             raise DiagramError('E_WIDTH', "cyclic word does not preserve width")
-        self._widths = w[:-1]
-        return self._widths
-
-    def validate(self):
-        w = self.widths()
         for t, ev in enumerate(self.events):
             if not fits(ev, w[t]):
                 name = {'X': 'crossing', 'A': 'cap', 'U': 'cup'}[ev.kind]
@@ -285,69 +287,63 @@ class AnnularDiagram:
         cids = [ev.cid for ev in self.events if ev.kind == 'X']
         if len(set(cids)) != len(cids):
             raise DiagramError('E_ID', "duplicate crossing ids")
-        self._traverse()
+        self._widths = w
+        self._gauss = self._traverse()
 
     # -- traversal ---------------------------------------------------------
 
     def _traverse(self):
-        if self._gauss is not None:
-            return self._gauss
+        """The Gauss diagram of the word, glued from its pieces at the ray.
+
+        window_strands cuts the knot at the ray: the window is the whole
+        word, and its left and right boundaries are the two sides of the
+        ray slice.  The pieces are chained from left port (0, 1): a piece
+        is entered at either end, walked backward when entered at its
+        end, and its exit port (s, p) leads across the ray to port
+        (1 - s, p).  Each entry is a ray passage, +1 from the left and -1
+        from the right.  A crossing's sign is its sign relative to the
+        piece walks, negated when exactly one of its passes lies on a
+        piece walked backward.  The token list starts with the passage at
+        left port 1 and runs along the knot orientation, reversed if the
+        chain ran against it.
+        """
         events = self.events
-        m = len(events)
-        if m == 0:
+        if not events:
             if self.w0 != 1:
                 raise DiagramError('E_COMPONENTS', "bare word must be a single ring")
-            self._gauss = GaussDiagram([('r', 1)], {})
-            return self._gauss
-        w = self.widths()
-
-        # walk the arcs (t, p): position p of slice t
-        visited = set()
-        tokens = []
-        passes = {}  # cid -> {line: direction}
-        t, p, forward = 0, 1, True
-        while True:
-            if (t, p, forward) in visited:
-                raise DiagramError('E_TRAVERSE', "walk revisited an arc")
-            visited.add((t, p, forward))
-            if t == 0:
-                tokens.append(('r', 1 if forward else -1))
-            ev_i = t if forward else (t - 1) % m
-            ev = events[ev_i]
-            leaving, p, line = strand_step(ev, forward, p)
-            if line:
-                passes.setdefault(ev.cid, {})[line] = 1 if forward else -1
-                tokens.append((_token_kind(ev, line), ev.cid))
-            t, forward = ((ev_i + 1) % m if leaving else ev_i), leaving
-            if forward and t == 0 and p == 1:
-                break
-
-        if {(t, p) for t, p, _ in visited} != {
-                (t, p) for t in range(m) for p in range(1, w[t] + 1)}:
+            return GaussDiagram([('r', 1)], {})
+        cut = window_strands(events, self._widths + [self.w0])
+        if cut is None:
             raise DiagramError('E_COMPONENTS', "diagram is not a single knot")
-        if len(visited) != sum(w):
-            raise DiagramError('E_TRAVERSE', "inconsistent traversal")
-
+        pieces, relative = cut
+        entries = {}                # port -> (the piece's first port, backward)
+        for first, (last, _) in pieces.items():
+            entries[first], entries[last] = (first, False), (first, True)
+        # odd: the crossings with exactly one pass on a piece walked backward
+        tokens, odd, port, glued = [], set(), (0, 1), 0
+        while True:
+            first, backward = entries[port]
+            last, met = pieces[first]
+            tokens.append(('r', -1 if port[0] else 1))
+            if backward:
+                tokens.extend(reversed(met))
+                for _, cid in met:
+                    odd ^= {cid}
+            else:
+                tokens.extend(met)
+            side, p = first if backward else last
+            port, glued = (1 - side, p), glued + 1
+            if port == (0, 1):
+                break
+        if glued != len(pieces):
+            raise DiagramError('E_COMPONENTS', "diagram is not a single knot")
         if sum(s for k, s in tokens if k == 'r') < 0:
-            # the walk ran against the knot orientation; flip it
+            # the chain ran against the knot orientation; flip it (the
+            # signs stay: both passes of each crossing turn around)
             tokens = [(k, -s if k == 'r' else s) for k, s in reversed(tokens)]
-            for d in passes.values():
-                for line in d:
-                    d[line] = -d[line]
-
-        signs = {}
-        for ev in events:
-            if ev.kind != 'X':
-                continue
-            d = passes.get(ev.cid, {})
-            if set(d) != {1, 2}:
-                raise DiagramError('E_TRAVERSE', f"crossing {ev.cid} not passed twice")
-            signs[ev.cid] = d[1] * d[2] * (1 if ev.over == '+' else -1)
-        self._gauss = GaussDiagram(tokens, signs)
-        return self._gauss
-
-    def gauss(self):
-        return self._traverse()
+        signs = {ev.cid: -relative[ev.cid] if ev.cid in odd else relative[ev.cid]
+                 for ev in events if ev.kind == 'X'}
+        return GaussDiagram(tokens, signs)
 
     # -- semantic checks ---------------------------------------------------
 

@@ -191,26 +191,18 @@ def _rows(state, slot, index, n, avals):
 def walk(movie, avals, n=None):
     """Replay a movie once and evaluate it at every a in avals.
 
-    Returns (final state, {a: CocycleReport}, error).  A triple point
-    move that cannot be classified ends the evaluation but not the
-    replay: its CocycleError comes back in place of None, so a caller can
-    still look at the final state.
+    Returns {a: CocycleReport}.  A triple point move that cannot be
+    classified raises its CocycleError.
     """
     if n is None:
         n = movie.start.n
     reports = {a: CocycleReport(n=n, a=a, value=0) for a in avals}
-    error, after = None, movie.start
-    for index, (before, mv, after) in enumerate(movie.steps(), 1):
-        if avals and isinstance(mv, R3) and error is None:
-            try:
-                rows = _rows(before, mv.slot, index, n, avals)
-            except CocycleError as exc:
-                error = exc
-            else:
-                for a, row in rows.items():
-                    reports[a].rows.append(row)
-                    reports[a].value += row.contrib
-    return after, reports, error
+    for index, (before, mv, _) in enumerate(movie.steps(), 1):
+        if avals and isinstance(mv, R3):
+            for a, row in _rows(before, mv.slot, index, n, avals).items():
+                reports[a].rows.append(row)
+                reports[a].value += row.contrib
+    return reports
 
 
 def evaluate(movie, a, n=None, report=False):
@@ -223,10 +215,8 @@ def evaluate(movie, a, n=None, report=False):
         n = movie.start.n
     if not 0 < a < n:
         raise CocycleError(f"parameter a={a} outside 0 < a < {n}")
-    _, reports, error = walk(movie, (a,), n)
-    if error is not None:
-        raise error
-    return reports[a] if report else reports[a].value
+    rep = walk(movie, (a,), n)[a]
+    return rep if report else rep.value
 
 
 def evaluate_all(movie, n=None, report=False):
@@ -234,10 +224,8 @@ def evaluate_all(movie, n=None, report=False):
     replay of the movie."""
     if n is None:
         n = movie.start.n
-    _, reports, error = walk(movie, range(1, n), n)
-    if error is not None:
-        raise error
-    return {a: rep if report else rep.value for a, rep in reports.items()}
+    return {a: rep if report else rep.value
+            for a, rep in walk(movie, range(1, n), n).items()}
 
 
 def interpolation_polynomial(values):

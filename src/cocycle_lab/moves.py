@@ -528,16 +528,16 @@ def _invert(mv, state_before):
     raise MoveError('E_INVERT', f"cannot invert {mv!r}")
 
 
-def verify_movie(movie, mode='semi-regular', require_closed=True):
+def verify_movie(movie):
     """Replay a movie and assert it stays inside the moduli space.
 
     Checks per state: single knot (traversal), homology class n, no loop
-    of negative winding.  Kink crossings must have marking 0; in
-    'general' mode marking n is also allowed.  Raises MoveError on the
-    first violation, returns the number of states otherwise.
+    of negative winding.  Kink crossings must have marking 0 (the
+    semi-regular condition), and the movie must return to its start.
+    Raises MoveError on the first violation, returns the number of
+    states otherwise.
     """
     n = movie.start.n
-    allowed_kinks = {0} if mode == 'semi-regular' else {0, n}
 
     def check_state(st, where):
         g = st.gauss()
@@ -552,14 +552,14 @@ def verify_movie(movie, mode='semi-regular', require_closed=True):
     for before, mv, after in movie.steps():
         if isinstance(mv, R1Create):
             mark = after.gauss().marking(mv.created_cid(before))
-            if mark not in allowed_kinks:
+            if mark != 0:
                 raise MoveError('E_KINK', f"kink of marking {mark} after move {count}")
         if isinstance(mv, R1Delete):
             mark = before.gauss().marking(mv.check(before))
-            if mark not in allowed_kinks:
+            if mark != 0:
                 raise MoveError('E_KINK', f"kink of marking {mark} at move {count}")
         check_state(after, f"after move {count}")
         count += 1
-    if require_closed and not same_gauss(after, movie.start):
+    if not same_gauss(after, movie.start):
         raise MoveError('E_CLOSED', "movie does not return to its start diagram")
     return count

@@ -38,6 +38,19 @@ def test_single_component_required():
         parse_morse("U 2 ; A 2", n=1, w0=1).gauss()
 
 
+
+@pytest.mark.parametrize('text, w0', [
+    ('X+ 1 ; X+ 1', 2),         # two components, each crossing the ray
+    ('U 1 ; A 1', 0),           # no strand on the ray
+    ('U 1 ; X+ 1 ; A 1', 0),
+    ('', 2),                    # a bare word of two rings
+    ('', 0),
+])
+def test_every_component_is_refused(text, w0):
+    with pytest.raises(DiagramError) as exc:
+        parse_morse(text, n=1, w0=w0)
+    assert exc.value.code == 'E_COMPONENTS'
+
 def test_crossing_ids_are_persistent():
     d = parse_morse(LONG_TREFOIL, n=1, w0=1)
     cids = [e.cid for e in d.events if e.kind == 'X']
@@ -51,6 +64,17 @@ def test_gauss_of_trefoil_closure():
     assert len(g.signs) == 3
     assert all(s == 1 for s in g.signs.values())
 
+
+
+def test_negative_loop_is_found_and_refused():
+    # the smoothing at crossing 1 closes a loop of winding -1
+    from cocycle_lab.moves import MoveError, Movie, verify_movie
+    d = parse_morse('U 1 ; X+ 2 ; X+ 2 ; A 3 ; X+ 2', n=1, w0=3)
+    assert d.gauss().homology_class == 1
+    assert d.check_no_negative_loops() == (False, [1])
+    with pytest.raises(MoveError) as exc:
+        verify_movie(Movie(d, []))
+    assert exc.value.code == 'E_NEGLOOP'
 
 def _build_outcome(n, events, w0):
     """The Gauss tokens and sorted signs of a full build, or its error code."""

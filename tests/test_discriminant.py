@@ -11,7 +11,7 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       quad_host, random_contractible_loop,
                                       tangency_host, tangency_hosts,
                                       tangency_loop)
-from cocycle_lab.moves import R3, r3_triple
+from cocycle_lab.moves import R2Delete, R3, r3_triple
 
 
 def test_quad_host_has_six_block_crossings():
@@ -99,6 +99,20 @@ def test_embedded_tangency_loops_vanish():
         assert movie.is_closed()
         assert all(v == 0 for v in evaluate_all(movie, 2).values())
 
+
+
+@pytest.mark.parametrize('over', '+-')
+def test_embedded_tangency_loop_at_a_descending_pair_vanishes(over):
+    # X+ 2 ; X+ 1 descends: the bigon is created before the pair and the
+    # triple moves run right to left
+    d = closed_cable(braid_events([2, 1]),
+                     long_events(normalize_w1(LONG_TREFOIL, 1)), 3)
+    assert [(e.kind, e.pos) for e in d.events[:2]] == [('X', 2), ('X', 1)]
+    host, movie = next(iter(embedded_tangency_loops(d, over)))
+    assert movie.moves[:3] == [R3(1), R3(0), R2Delete(2)]
+    assert movie.moves[3].slot == 0 and movie.moves[3].over_first == over
+    assert movie.is_closed()
+    assert evaluate_all(movie) == {1: 0, 2: 0}
 
 def _state_with_triple():
     from cocycle_lab.loops import push_loop

@@ -16,7 +16,7 @@ def test_push_loop_is_closed():
 
 
 def test_push_loop_verifies_semi_regular():
-    verify_movie(push_loop([1], TREFOIL1, 2), mode='semi-regular')
+    verify_movie(push_loop([1], TREFOIL1, 2))
 
 
 def test_rotation_loop_is_closed():
