@@ -590,6 +590,28 @@ def test_recorded_states_match_a_fresh_replay(label, monkeypatch):
     assert_fresh_replay_matches(movie, states)
 
 
+@pytest.mark.parametrize("label", list(RECORDED_MOVIES))
+def test_reversed_movie_retraces_the_states(label):
+    movie = RECORDED_MOVIES[label]()
+    states, back = movie.states(), movie.reversed().states()[::-1]
+    assert len(back) == len(states)
+    for k, (got, want) in enumerate(zip(back, states)):
+        assert got.events == want.events, f"state {k}"
+        assert got.w0 == want.w0, f"state {k}"
+        g, h = got.gauss(), want.gauss()
+        assert g.tokens == h.tokens, f"state {k}"
+        assert g.signs == h.signs, f"state {k}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_contractible_walk_applies_each_move_once(seed, monkeypatch):
+    calls = _count_applies(monkeypatch)
+    for name, d in verify.corpus_diagrams():
+        calls.clear()
+        movie = random_contractible_loop(d, 6, seed)
+        assert len(calls) == len(movie.moves) > 0, name
+
+
 def _states_and_applies(movie, calls):
     """The movie's states and the number of moves applied to yield them."""
     before = len(calls)
