@@ -266,7 +266,6 @@ def embedded_tangency_loops(diagram, over):
             if not host.check_no_negative_loops()[0]:
                 continue
             movie = Movie(host, moves)
-            movie.final()
         except (MoveError, DiagramError):
             continue
         yield host, movie
@@ -287,13 +286,13 @@ def commutation_loop(host, r3_slot, far_slot, pos, over):
 def random_contractible_loop(host, length, seed):
     """Random applicable word of moves followed by its reverse inverse."""
     rng = random.Random(seed)
-    movie, cur = Movie(host), host
+    movie = Movie(host)
     for _ in range(length):
-        options = _applicable_moves(cur, rng)
+        options = _applicable_moves(movie.final(), rng)
         if not options:
             break
-        cur = movie.append(rng.choice(options))
-    for mv in movie.reversed().moves:
+        movie.append(rng.choice(options))
+    for mv in movie.inverse_moves():
         movie.append(mv)
     return movie
 

@@ -87,7 +87,6 @@ class _Transport:
 
     def __init__(self, diagram, units, d):
         self.movie = Movie(diagram)
-        self.cur = diagram      # the movie's final state
         self.n = diagram.n
         self.units = units
         self.mi = next(i for i, u in enumerate(units) if u.kind == 'mover')
@@ -95,7 +94,7 @@ class _Transport:
         self.d = d              # +1 rightward along the word, -1 leftward
 
     def emit(self, mv):
-        self.cur = self.movie.append(mv)
+        self.movie.append(mv)
 
     def slot_of(self, ui):
         return sum(u.length for u in self.units[:ui])
@@ -105,14 +104,14 @@ class _Transport:
 
     def mover_events(self):
         s = self.slot_of(self.mi)
-        return list(self.cur.events[s:s + self.mover().length])
+        return list(self.movie.final().events[s:s + self.mover().length])
 
     def _rewrite_pair(self, new_mov, swap):
         """Rearrange writing the mover as new_mov past the unit it faces
         (swap, a hop) or on the same side of it (a turn)."""
         other = self.mi + self.d
         vs = self.slot_of(other)
-        vevs = list(self.cur.events[vs:vs + self.units[other].length])
+        vevs = list(self.movie.final().events[vs:vs + self.units[other].length])
         window = tuple(vevs + new_mov if (self.d == 1) == swap else new_mov + vevs)
         self.emit(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
         if swap:
@@ -184,7 +183,7 @@ class _Transport:
         # where the Exchange and the R3 start, relative to slot
         ex, r3 = (0, 0) if d == 1 else (-1, -2)
         while count > 0:
-            evs = self.cur.events
+            evs = self.movie.final().events
             if abs(evs[slot].pos - evs[slot + d].pos) >= 2:
                 self.emit(Exchange(slot + ex))
                 slot += d
@@ -200,7 +199,7 @@ class _Transport:
         v = self.units[ui]
         n, q = self.n, v.q
         s = self.slot_of(ui)
-        evs = list(self.cur.events[s:s + v.length])
+        evs = list(self.movie.final().events[s:s + v.length])
         labels = {q + k: ('A', k + 1) for k in range(n)}
         labels.update({q + n + k: ('B', k + 1) for k in range(n)})
         pair_cid = {}
@@ -275,7 +274,7 @@ def push_loop(tangle_word, long_text, n):
     tr.ray_pass()
     tr.normalize_blocks()
     shape = [(e.kind, e.pos, e.over) for e in start.events]
-    if [(e.kind, e.pos, e.over) for e in tr.cur.events] != shape:
+    if [(e.kind, e.pos, e.over) for e in tr.movie.final().events] != shape:
         raise PlannerError("push loop does not close")
     return tr.movie
 
@@ -306,7 +305,7 @@ def _relabel_through_tangle(tr):
         raise PlannerError("twist is not facing the tangle")
     s = min(tr.slot_of(tr.mi), tr.slot_of(ti))
     k = tu.length + tr.mover().length
-    pair = tr.cur.events[s:s + k]
+    pair = tr.movie.final().events[s:s + k]
     if len({(e.kind, e.pos, e.over) for e in pair}) != 1:
         raise PlannerError("tangle does not absorb the twist by resplitting")
     tr.units[ti] = _Unit('mover', -1, tr.mover().length, tu.q)

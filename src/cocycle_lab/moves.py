@@ -27,7 +27,7 @@ their result in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .annular import (AnnularDiagram, DiagramError, MorseEvent, _token_kind,
                       fits, token_gap, window_strands)
@@ -431,76 +431,65 @@ def same_gauss(d1, d2):
     return canonical_gauss_key(g1) == canonical_gauss_key(g2)
 
 
-@dataclass
 class Movie:
-    """A loop (or path) in the space of class-n diagrams.
+    """A path in the space of class-n diagrams: a start diagram, the moves
+    applied to it, and the state each move leaves behind.
 
-    A movie records the state each move leaves behind the first time
-    that move is applied, and holds those states for as long as it
-    lives.  steps uses a recorded state only while start and the move at
-    its index are the very objects (an `is` check) it was recorded
-    from; from the first index where either differs, it applies the
-    moves again.  So a movie built by hand, a reassigned start, or a
-    moves list edited, cut or extended in place never yields a stale
-    state.  The planners and the random walks grow their movies with
-    append, which applies each move once.
+    Movie(start, moves) applies each move once, through append, and
+    raises the move's own error if one does not apply, so a movie always
+    holds a valid path.  Only Movie writes its moves and states: start is
+    read-only, and moves returns a fresh list, so editing that list
+    cannot reach the recorded states.  steps, states and final read the
+    recorded lists and apply nothing.
     """
 
-    start: AnnularDiagram
-    moves: list = field(default_factory=list)
-    _origin: object = field(default=None, init=False, repr=False, compare=False)
-    _done: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _after: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, start, moves=()):
+        self._moves, self._states = [], [start]
+        for mv in moves:
+            self.append(mv)
 
-    def _record(self):
-        """The recorded moves and states, emptied if start was replaced."""
-        if self._origin is not self.start:
-            self._origin, self._done, self._after = self.start, [], []
-        return self._done, self._after
+    @property
+    def start(self):
+        return self._states[0]
 
-    def steps(self):
-        """Yield (state_before, move, state_after): the one replay loop.
-        Moves with a recorded state are not applied again."""
-        done, after = self._record()
-        cur = self.start
-        for i, mv in enumerate(self.moves):
-            if i == len(done) or done[i] is not mv:
-                del done[i:], after[i:]
-                after.append(mv.apply(cur))
-                done.append(mv)
-            nxt = after[i]
-            yield cur, mv, nxt
-            cur = nxt
-        del done[len(self.moves):], after[len(self.moves):]
+    @property
+    def moves(self):
+        return list(self._moves)
+
+    def __repr__(self):
+        return f"Movie(start={self.start!r}, moves={self._moves!r})"
 
     def append(self, mv):
         """Apply mv to the final state, record the move and the state it
         leaves behind, and return that state."""
-        done, after = self._record()
-        # equal moves leave equal states, so list equality (identity
-        # first, at C speed) is enough to trust the last recorded state
-        cur = after[-1] if done and done == self.moves else self.final()
-        nxt = mv.apply(cur)
-        self.moves.append(mv)
-        done.append(mv)
-        after.append(nxt)
+        nxt = mv.apply(self._states[-1])
+        self._moves.append(mv)
+        self._states.append(nxt)
         return nxt
 
+    def steps(self):
+        """(state_before, move, state_after) for each move, in order."""
+        return zip(self._states, self._moves, self._states[1:])
+
     def states(self):
-        return [self.start] + [after for _, _, after in self.steps()]
+        return list(self._states)
 
     def final(self):
-        return self.states()[-1]
+        return self._states[-1]
 
     def is_closed(self):
         return same_gauss(self.final(), self.start)
 
+    def inverse_moves(self):
+        """The moves that walk the path back from final() to start.  Only
+        moves with an evident inverse appear in generated loops, so this
+        is total on what the package produces."""
+        inv = [_invert(mv, st) for st, mv in zip(self._states, self._moves)]
+        return inv[::-1]
+
     def reversed(self):
-        """The inverse loop.  Only moves with an evident inverse appear in
-        generated loops, so this is total on what the package produces."""
-        states = self.states()
-        out = [_invert(mv, st) for st, mv in zip(states, self.moves)]
-        return Movie(states[-1], out[::-1])
+        """The inverse loop."""
+        return Movie(self.final(), self.inverse_moves())
 
 
 def _invert(mv, state_before):
@@ -529,13 +518,13 @@ def _invert(mv, state_before):
 
 
 def verify_movie(movie):
-    """Replay a movie and assert it stays inside the moduli space.
+    """Check that a movie stays inside the moduli space.
 
-    Checks per state: single knot (traversal), homology class n, no loop
-    of negative winding.  Kink crossings must have marking 0 (the
-    semi-regular condition), and the movie must return to its start.
-    Raises MoveError on the first violation, returns the number of
-    states otherwise.
+    Checks per state: homology class n, no loop of negative winding (each
+    state is a single knot already: the movie's moves built it).  Kink
+    crossings must have marking 0 (the semi-regular condition), and the
+    movie must return to its start.  Raises MoveError on the first
+    violation, returns the number of states otherwise.
     """
     n = movie.start.n
 
@@ -548,18 +537,16 @@ def verify_movie(movie):
             raise MoveError('E_NEGLOOP', f"negative loop {witness} {where}")
 
     check_state(movie.start, "at start")
-    count, after = 1, movie.start
-    for before, mv, after in movie.steps():
+    for k, (before, mv, after) in enumerate(movie.steps(), 1):
         if isinstance(mv, R1Create):
             mark = after.gauss().marking(mv.created_cid(before))
             if mark != 0:
-                raise MoveError('E_KINK', f"kink of marking {mark} after move {count}")
+                raise MoveError('E_KINK', f"kink of marking {mark} after move {k}")
         if isinstance(mv, R1Delete):
             mark = before.gauss().marking(mv.check(before))
             if mark != 0:
-                raise MoveError('E_KINK', f"kink of marking {mark} at move {count}")
-        check_state(after, f"after move {count}")
-        count += 1
-    if not same_gauss(after, movie.start):
+                raise MoveError('E_KINK', f"kink of marking {mark} at move {k}")
+        check_state(after, f"after move {k}")
+    if not movie.is_closed():
         raise MoveError('E_CLOSED', "movie does not return to its start diagram")
-    return count
+    return len(movie.moves) + 1

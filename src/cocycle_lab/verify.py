@@ -134,7 +134,6 @@ def suite_cube(params=None):
                 for flags, host, slot in variants:
                     try:
                         movie = tangency_loop(host, slot, flags[0])
-                        movie.final()
                     except (MoveError, DiagramError):
                         # cyclic height combinations have no planar stratum
                         continue
@@ -171,7 +170,6 @@ def suite_commutation(params=None):
                             return rep
                         try:
                             movie = commutation_loop(d, s, far, pos, over)
-                            movie.final()
                         except (MoveError, DiagramError):
                             continue
                         budget -= 1

@@ -129,7 +129,6 @@ def test_commutation_loop_vanishes():
     for far in (0, len(d.events) - 1):
         try:
             movie = commutation_loop(d, s, far, 1, '+')
-            movie.final()
         except Exception:
             continue
         assert movie.is_closed()

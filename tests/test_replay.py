@@ -6,13 +6,12 @@ instead of traversing the diagram again.  After every move of every movie here,
 the replayed state must agree with the same event word built from
 scratch by the public, fully validating constructor.
 
-A movie records the states its moves leave behind.  Every recorded
-state must equal the one a fresh replay gives, an edited movie must
-apply its moves again from the first changed index, and each movie is
-replayed once.
+A movie applies each move once and records the state it leaves
+behind.  Every recorded state must equal the one a fresh replay gives,
+no edit of the list a movie hands out reaches its states, and each
+movie is replayed once.
 """
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -102,7 +101,7 @@ def _validations(monkeypatch, movie):
     calls = _count_validations(monkeypatch)
     start = movie.start
     fresh = AnnularDiagram(start.n, list(start.events), w0=start.w0)
-    Movie(fresh, movie.moves).final()
+    Movie(fresh, movie.moves)
     return calls['validate']
 
 
@@ -117,7 +116,6 @@ def _first_loop(candidates):
     for make in candidates:
         try:
             movie = make()
-            movie.final()
         except (HostError, MoveError):
             continue
         return movie
@@ -283,7 +281,6 @@ def test_cube_loops():
                 try:
                     host, slot = tangency_host(order, ws, flags, 2)
                     movie = tangency_loop(host, slot, flags[0])
-                    movie.final()
                 except (HostError, MoveError):
                     continue
                 r3s += assert_replay_matches(movie)
@@ -301,7 +298,6 @@ def test_commutation_loops():
             for far in (0, len(evs) - 1):
                 try:
                     movie = commutation_loop(d, s, far, 1, '+')
-                    movie.final()
                 except MoveError:
                     continue
                 r3s += assert_replay_matches(movie)
@@ -541,9 +537,7 @@ def _count_applies(monkeypatch):
 
 
 def _tetrahedron_loop():
-    movie = meridian_loop(*quad_host(GLOBAL_TYPES[1], (0, 0, 0, 2), 2))
-    movie.final()
-    return movie
+    return meridian_loop(*quad_host(GLOBAL_TYPES[1], (0, 0, 0, 2), 2))
 
 
 RECORDED_MOVIES = {
@@ -612,95 +606,24 @@ def test_contractible_walk_applies_each_move_once(seed, monkeypatch):
         assert len(calls) == len(movie.moves) > 0, name
 
 
-def _states_and_applies(movie, calls):
-    """The movie's states and the number of moves applied to yield them."""
-    before = len(calls)
-    states = movie.states()
-    return states, len(calls) - before
-
-
-def test_edited_moves_replay_from_the_first_changed_index(monkeypatch):
+def test_only_the_movie_writes_its_moves_and_states():
     movie = push_loop([1], TREFOIL1, 2)
-    m = len(movie.moves)
-    old = movie.states()
-    calls = _count_applies(monkeypatch)
-    k = m // 2
+    states, moves = movie.states(), movie.moves
+    edited = movie.moves
+    edited[len(edited) // 2] = RayShift(1)
+    del edited[1:]
+    assert movie.moves == moves
+    after = movie.states()
+    assert len(after) == len(states) and all(a is b for a, b in zip(after, states))
+    with pytest.raises(AttributeError):
+        movie.start = states[1]
+    assert movie.start is states[0]
 
-    # a new but equal move object at k: the states from k on are rebuilt
-    movie.moves[k] = dataclasses.replace(movie.moves[k])
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == m - k
-    assert all(a is b for a, b in zip(states[:k + 1], old))
-    assert all(a is not b for a, b in zip(states[k + 1:], old[k + 1:]))
-    assert_fresh_replay_matches(movie, states)
-    assert _states_and_applies(movie, calls)[1] == 0
-
-    # cut: nothing is applied, and no state past the cut is yielded
-    del movie.moves[k:]
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == 0 and len(states) == k + 1
-    assert movie.final() is states[-1]
-
-    # extended in place: only the new moves are applied
-    rest = [dataclasses.replace(mv) for mv in push_loop([1], TREFOIL1, 2).moves[k:]]
-    movie.moves += rest
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == m - k
-    assert_fresh_replay_matches(movie, states)
-
-    # a reassigned start, even an equal one: every move is applied again
-    start = movie.start
-    movie.start = AnnularDiagram(start.n, list(start.events), w0=start.w0)
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == m and states[0] is movie.start
-    assert_fresh_replay_matches(movie, states)
-
-
-def test_edits_that_change_the_states_yield_no_stale_state(monkeypatch):
-    cables = [d for _, d in verify.corpus_diagrams()]
-    movie = Movie(cables[0], [R2Create(0, 1, '+'), R2Delete(0), RayShift(1)])
-    old = movie.states()
-    calls = _count_applies(monkeypatch)
-
-    movie.moves[0] = R2Create(0, 1, '-')
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == 3
-    assert states[1].events != old[1].events
-    assert_fresh_replay_matches(movie, states)
-
-    # a different start diagram the same moves apply to
-    movie.start = cables[1]
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == 3
-    assert states[3].events != old[3].events
-    assert_fresh_replay_matches(movie, states)
-
-
-def test_append_extends_from_the_true_final_state(monkeypatch):
-    movie = push_loop([1], TREFOIL1, 2)
-    moves = list(movie.moves)
-    k = len(moves) // 2
-    calls = _count_applies(monkeypatch)
-
-    # after a cut, append applies only its own move, and records it
-    del movie.moves[k:]
-    movie.append(RayShift(1))
-    assert len(calls) == 1 and movie.moves[:k] == moves[:k]
-    states, applied = _states_and_applies(movie, calls)
-    assert applied == 0
-    assert_fresh_replay_matches(movie, states)
-
-    # after a move inside the list is replaced by a different one, append
-    # first applies the moves from there again
+    # a movie holds a valid path: a move that does not apply raises at once
     cable = verify.corpus_diagrams()[0][1]
-    movie = Movie(cable, [R2Create(0, 1, '+'), R2Delete(0)])
-    movie.final()
-    movie.moves[0] = R2Create(0, 1, '-')
-    calls.clear()
-    after = movie.append(RayShift(1))
-    assert len(calls) == 3
-    assert after is movie.final() and len(calls) == 3
-    assert_fresh_replay_matches(movie, movie.states())
+    with pytest.raises(MoveError) as exc:
+        Movie(cable, [R2Delete(0)])
+    assert exc.value.code == 'E_R2'
 
 
 # ---------------------------------------------------------------------------
