@@ -3,22 +3,32 @@ identities tie together, pinned as literals.
 
 The pairing table scales with the exponent of the closing tangle; the
 push value does not depend on the tangle's word in B_3 or on
-semi-regular changes of the knot; reversing a loop negates its value.
+semi-regular changes of the knot; reversing a loop negates its value;
+the push value factors through v2 of the knot pushed; and the first
+values that depend on a are pinned with their polynomials.
 """
+
+import random
 
 import pytest
 
 from cocycle_lab.cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TORUS25,
-                                 LONG_TREFOIL, LONG_UNKNOT, normalize_w1)
-from cocycle_lab.cocycle import evaluate_all
+                                 LONG_TREFOIL, LONG_UNKNOT, closed_cable,
+                                 long_events, normalize_w1)
+from cocycle_lab.cocycle import (evaluate_all, interpolation_polynomial,
+                                 polynomial_text)
+from cocycle_lab.gauss import v2
 from cocycle_lab.loops import (push_full_twist_loop, push_loop, rotation_loop,
                                scan_path)
+from cocycle_lab.oracle import conway
 from cocycle_lab.verify import semi_regular_variant
 
 KNOTS = (LONG_UNKNOT, LONG_TREFOIL, LONG_FIG8, LONG_TORUS25,
          LONG_MIRROR_TREFOIL)
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
+# v2 of the closures of KNOTS
+KNOT_V2 = (0, 1, -1, 3, 1)
 
 
 @pytest.mark.parametrize('tangle, values', [
@@ -62,3 +72,88 @@ def test_reversal_negates_the_value(build):
     value = evaluate_all(movie)
     assert any(value.values())
     assert evaluate_all(movie.reversed()) == {a: -v for a, v in value.items()}
+
+
+def _closes_to_a_knot(word, n):
+    """Is the closure permutation of the braid word an n-cycle?"""
+    perm = list(range(n))
+    for g in word:
+        i = abs(g) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    length, p = 1, perm[0]
+    while p:
+        length, p = length + 1, perm[p]
+    return length == n
+
+
+def _connected_tangles(seed, per_n=3):
+    """Seeded braid words of n - 1 to n + 1 letters of either sign, per_n
+    of them at each n = 2..4, whose closures are knots."""
+    rng = random.Random(seed)
+    out = []
+    for n in (2, 3, 4):
+        words = []
+        while len(words) < per_n:
+            word = [rng.choice((1, -1)) * rng.randrange(1, n)
+                    for _ in range(rng.randrange(n - 1, n + 2))]
+            if _closes_to_a_knot(word, n):
+                words.append(word)
+        out += [(word, n) for word in words]
+    return out
+
+
+def _knot_v2(text):
+    return v2(closed_cable([], long_events(text), 1).gauss())
+
+
+def _conway_z2(text):
+    return conway(closed_cable([], long_events(text), 1)).get(2, 0)
+
+
+CONNECTED = _connected_tangles(0)
+
+
+@pytest.mark.parametrize('tangle, n', CONNECTED,
+                         ids=[f"n{n}:{','.join(map(str, w))}" for w, n in CONNECTED])
+@pytest.mark.parametrize('w1', [1, 2])
+def test_push_value_factors_through_v2(tangle, n, w1):
+    # push(T, K, w1, n)(a) = v2(K) * push(T, trefoil, w1, n)(a); the
+    # mirror trefoil's v2 is read from the Conway polynomial instead
+    unit = evaluate_all(push_loop(tangle, normalize_w1(LONG_TREFOIL, w1), n))
+    for text, v in ((LONG_UNKNOT, _knot_v2(LONG_UNKNOT)),
+                    (LONG_FIG8, _knot_v2(LONG_FIG8)),
+                    (LONG_TORUS25, _knot_v2(LONG_TORUS25)),
+                    (LONG_MIRROR_TREFOIL, _conway_z2(LONG_MIRROR_TREFOIL))):
+        got = evaluate_all(push_loop(tangle, normalize_w1(text, w1), n))
+        assert got == {a: v * u for a, u in unit.items()}, text
+
+
+def test_knot_v2_values():
+    assert [_knot_v2(k) for k in KNOTS] == list(KNOT_V2)
+    assert [_conway_z2(k) for k in KNOTS] == list(KNOT_V2)
+
+
+@pytest.mark.parametrize('n, w1, unit', [
+    (2, 1, 1), (3, 1, 2), (4, 1, 3), (2, 2, 3), (3, 2, 5), (4, 2, 7),
+])
+def test_push_closed_form_for_the_standard_tangle(n, w1, unit):
+    # push(s1 ... s(n-1), K, w1, n) = v2(K) * (n * w1 - 1) at every a
+    assert unit == n * w1 - 1
+    for text, v in zip(KNOTS, KNOT_V2):
+        got = evaluate_all(push_loop(list(range(1, n)), normalize_w1(text, w1), n))
+        assert got == {a: v * unit for a in range(1, n)}, text
+
+
+@pytest.mark.parametrize('knot, tangle, n, values, text', [
+    (LONG_TREFOIL, [-3, 1, 2], 4, {1: 0, 2: 3, 3: 0}, '-9 + 12*a + -3*a^2'),
+    (LONG_TREFOIL, [1, -2, -3, 2, 3], 4, {1: 3, 2: -3, 3: 3},
+     '21 + -24*a + 6*a^2'),
+    (LONG_TREFOIL, [3, 1, -2, 3, 4, -2, -1, 2], 5, {1: 4, 2: 0, 3: 0, 4: 4},
+     '12 + -10*a + 2*a^2'),
+    (LONG_FIG8, [-3, 1, 2], 4, {1: 0, 2: -3, 3: 0}, '9 + -12*a + 3*a^2'),
+], ids=['trefoil-s3\'s1s2', 'trefoil-n4-five', 'trefoil-n5-eight',
+        'fig8-s3\'s1s2'])
+def test_push_values_that_depend_on_a(knot, tangle, n, values, text):
+    got = evaluate_all(push_loop(tangle, normalize_w1(knot, 1), n))
+    assert got == values
+    assert polynomial_text(interpolation_polynomial(got)) == text
