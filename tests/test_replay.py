@@ -12,6 +12,7 @@ no edit of the list a movie hands out reaches its states, and each
 movie is replayed once.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -606,24 +607,108 @@ def test_contractible_walk_applies_each_move_once(seed, monkeypatch):
         assert len(calls) == len(movie.moves) > 0, name
 
 
-def test_only_the_movie_writes_its_moves_and_states():
-    movie = push_loop([1], TREFOIL1, 2)
-    states, moves = movie.states(), movie.moves
-    edited = movie.moves
-    edited[len(edited) // 2] = RayShift(1)
-    del edited[1:]
+def assert_states_unchanged(movie, moves, states):
+    """movie still holds the given moves and the very same state objects."""
     assert movie.moves == moves
     after = movie.states()
-    assert len(after) == len(states) and all(a is b for a, b in zip(after, states))
+    assert len(after) == len(states)
+    assert all(a is b for a, b in zip(after, states))
+
+
+def test_edited_moves_replay_from_the_first_changed_index(monkeypatch):
+    movie = push_loop([1], TREFOIL1, 2)
+    m = len(movie.moves)
+    moves, old = movie.moves, movie.states()
+    calls = _count_applies(monkeypatch)
+    k = m // 2
+
+    # editing the list from movie.moves applies nothing and leaves the
+    # movie as it was; its start cannot be reassigned either
+    edited = movie.moves
+    edited[k] = dataclasses.replace(edited[k])
+    del edited[k + 1:]
+    assert calls == []
+    assert_states_unchanged(movie, moves, old)
     with pytest.raises(AttributeError):
-        movie.start = states[1]
-    assert movie.start is states[0]
+        movie.start = old[1]
+    assert movie.start is old[0]
+
+    # the edited path replays from the first changed index: a movie
+    # started at the recorded state k applies only the moves from k on
+    rest = movie.moves[k:]
+    rest[0] = dataclasses.replace(rest[0])
+    tail = Movie(old[k], rest)
+    assert len(calls) == m - k
+    assert tail.start is old[k]
+    for j, state in enumerate(tail.states()):
+        assert_same_state(state, old[k + j], f"state {k + j}")
+    assert_fresh_replay_matches(tail, tail.states())
+    calls.clear()
+    tail.states(), tail.final(), list(tail.steps())
+    assert calls == []
+
+
+def test_edits_that_change_the_states_yield_no_stale_state(monkeypatch):
+    cables = [d for _, d in verify.corpus_diagrams()]
+    movie = Movie(cables[0], [R2Create(0, 1, '+'), R2Delete(0), RayShift(1)])
+    moves, old = movie.moves, movie.states()
+    calls = _count_applies(monkeypatch)
+
+    # a different move in a copy of the list does not reach the movie
+    edited = movie.moves
+    edited[0] = R2Create(0, 1, '-')
+    assert_states_unchanged(movie, moves, old)
+
+    # a movie of the edited moves applies each of them to its own states
+    rebuilt = Movie(cables[0], edited)
+    states = rebuilt.states()
+    assert len(calls) == 3
+    assert states[1].events != old[1].events
+    assert_fresh_replay_matches(rebuilt, states)
+
+    # a different start diagram the same moves apply to
+    calls.clear()
+    moved = Movie(cables[1], moves)
+    states = moved.states()
+    assert len(calls) == 3
+    assert states[0] is cables[1] and states[3].events != old[3].events
+    assert_fresh_replay_matches(moved, states)
 
     # a movie holds a valid path: a move that does not apply raises at once
-    cable = verify.corpus_diagrams()[0][1]
     with pytest.raises(MoveError) as exc:
-        Movie(cable, [R2Delete(0)])
+        Movie(cables[0], [R2Delete(0)])
     assert exc.value.code == 'E_R2'
+
+
+def test_append_extends_from_the_true_final_state(monkeypatch):
+    movie = push_loop([1], TREFOIL1, 2)
+    moves, old = movie.moves, movie.states()
+    k = len(moves) // 2
+    calls = _count_applies(monkeypatch)
+
+    # a cut of the list from movie.moves does not reach the movie: append
+    # applies only its own move, to the recorded final state
+    edited = movie.moves
+    del edited[k:]
+    after = movie.append(RayShift(1))
+    assert len(calls) == 1 and calls[0][1] is old[-1]
+    assert movie.moves == moves + [RayShift(1)]
+    assert after is movie.final()
+    states = movie.states()
+    assert all(a is b for a, b in zip(states, old))
+    assert_fresh_replay_matches(movie, states)
+
+    # the same after a move in a copy of the list is replaced
+    cable = verify.corpus_diagrams()[0][1]
+    movie = Movie(cable, [R2Create(0, 1, '+'), R2Delete(0)])
+    final = movie.final()
+    edited = movie.moves
+    edited[0] = R2Create(0, 1, '-')
+    calls.clear()
+    after = movie.append(RayShift(1))
+    assert len(calls) == 1 and calls[0][1] is final
+    assert after is movie.final()
+    assert_fresh_replay_matches(movie, movie.states())
 
 
 # ---------------------------------------------------------------------------
