@@ -1,8 +1,15 @@
+import random
+
 import pytest
 
+from cocycle_lab import moves
 from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
-                                 format_morse, parse_morse)
-from cocycle_lab.cabling import LONG_TREFOIL
+                                 format_morse, parse_morse, strand_step,
+                                 window_strands)
+from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS25, LONG_TORUS27,
+                                 LONG_TREFOIL, normalize_w1)
+from cocycle_lab.loops import (push_full_twist_loop, push_loop, rotation_loop,
+                               scan_path)
 
 
 def test_event_validation():
@@ -85,6 +92,19 @@ def _build_outcome(n, events, w0):
     return g.tokens, sorted(g.signs.items())
 
 
+def _transport_grid_movies():
+    """The twelve movies of the transport grid, built afresh."""
+    trefoil = normalize_w1(LONG_TREFOIL, 1)
+    grid = [(push_loop, trefoil, n) for n in (2, 3, 4)] + [
+        (push_loop, normalize_w1(LONG_TORUS27, 2), 2),
+        (push_loop, normalize_w1(LONG_TORUS27, 2), 3),
+        (push_loop, normalize_w1(LONG_TORUS25, 2), 2),
+    ] + [(planner, knot, 2)
+         for knot in (trefoil, normalize_w1(LONG_FIG8, -1))
+         for planner in (rotation_loop, scan_path, push_full_twist_loop)]
+    return [planner(list(range(1, n)), knot, n) for planner, knot, n in grid]
+
+
 def test_full_builds_are_pinned():
     # every full build of three input sets, in order: short words over
     # U/A/X at positions 1..3, closures of short braid words, and every
@@ -92,10 +112,7 @@ def test_full_builds_are_pinned():
     import hashlib
     import itertools
 
-    from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS25, LONG_TORUS27,
-                                     braid_events, normalize_w1)
-    from cocycle_lab.loops import (push_full_twist_loop, push_loop,
-                                   rotation_loop, scan_path)
+    from cocycle_lab.cabling import braid_events
 
     outcomes = []
     alphabet = [(kind, pos, over) for pos in (1, 2, 3)
@@ -111,16 +128,8 @@ def test_full_builds_are_pinned():
         for size in range(5):
             for word in itertools.product(gens, repeat=size):
                 outcomes.append(_build_outcome(strands, braid_events(word), strands))
-    trefoil = normalize_w1(LONG_TREFOIL, 1)
-    grid = [(push_loop, trefoil, n) for n in (2, 3, 4)] + [
-        (push_loop, normalize_w1(LONG_TORUS27, 2), 2),
-        (push_loop, normalize_w1(LONG_TORUS27, 2), 3),
-        (push_loop, normalize_w1(LONG_TORUS25, 2), 2),
-    ] + [(planner, knot, 2)
-         for knot in (trefoil, normalize_w1(LONG_FIG8, -1))
-         for planner in (rotation_loop, scan_path, push_full_twist_loop)]
-    for planner, knot, n in grid:
-        for state in planner(list(range(1, n)), knot, n).states():
+    for movie in _transport_grid_movies():
+        for state in movie.states():
             outcomes.append(_build_outcome(state.n, list(state.events), state.w0))
 
     digest = hashlib.sha256()
@@ -129,3 +138,80 @@ def test_full_builds_are_pinned():
     assert len(outcomes) == 10451
     assert digest.hexdigest() == (
         'd649d3ebb6cfb24ca8fe1a50d6cca1bff1cd58314dcf1092ef6ca8f2d6decec3')
+
+
+def _walk_window(events, widths):
+    """Reference for window_strands: every piece followed event by event
+    with strand_step, from the first of its two boundary ports."""
+    k = len(events)
+    pieces, passes, ends = {}, {}, set()
+    reached = 0
+    ports = [(0, p) for p in range(1, widths[0] + 1)]
+    ports += [(1, p) for p in range(1, widths[k] + 1)]
+    for start in ports:
+        if start in ends:
+            continue
+        p = start[1]
+        t, forward = (k, False) if start[0] else (0, True)
+        tokens = []
+        while t != (k if forward else 0):
+            ev_i = t if forward else t - 1
+            ev = events[ev_i]
+            leaving, p, line = strand_step(ev, forward, p)
+            if line:
+                passes.setdefault(ev.cid, (ev.over, {}))[1][line] = 1 if forward else -1
+                over = (line == 1) == (ev.over == '+')
+                tokens.append(('h' if over else 'f', ev.cid))
+            t, forward = (ev_i + 1 if leaving else ev_i), leaving
+            reached += 0 < t < k
+        end = (1 if forward else 0, p)
+        ends.add(end)
+        pieces[start] = (end, tuple(tokens))
+    if reached != sum(widths[1:k]):
+        return None
+    signs = {cid: d[1] * d[2] * (1 if over == '+' else -1)
+             for cid, (over, d) in passes.items()}
+    return pieces, signs
+
+
+def _random_window(rng):
+    """Up to 12 random U/A/X events that fit a slice of 0..5 strands,
+    with the widths of all their slices."""
+    events, widths = [], [rng.randrange(6)]
+    for cid in range(1, rng.randint(0, 12) + 1):
+        w = widths[-1]
+        kind = rng.choice('UAX' if w >= 2 else 'U')
+        pos = rng.randint(1, w + 1 if kind == 'U' else w - 1)
+        if kind == 'X':
+            events.append(MorseEvent('X', pos, rng.choice('+-'), cid))
+        else:
+            events.append(MorseEvent(kind, pos))
+        widths.append(w + events[-1].delta)
+    return events, widths
+
+
+def test_window_strands_matches_the_port_walk(monkeypatch):
+    # pieces, signs and None agree with the reference walk on three sets:
+    # the old and new windows that the Rearranges of the transport-grid
+    # movies check, random windows, and the whole words of the movie
+    # states (one window each, as full validation cuts them at the ray)
+    checked = []
+
+    def recording(events, widths):
+        checked.append((list(events), list(widths)))
+        return window_strands(events, widths)
+
+    monkeypatch.setattr(moves, 'window_strands', recording)
+    movies = _transport_grid_movies()
+    monkeypatch.undo()
+    assert checked
+    rng = random.Random(13)
+    windows = [_random_window(rng) for _ in range(4000)]
+    whole = [(state.events, state.widths() + [state.w0])
+             for movie in movies for state in movie.states()]
+    closed = 0
+    for events, widths in checked + windows + whole:
+        want = _walk_window(events, widths)
+        assert window_strands(events, widths) == want, (events, widths)
+        closed += want is None
+    assert closed > 100
