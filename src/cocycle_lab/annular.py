@@ -126,51 +126,65 @@ def _token_kind(ev, line):
 
 
 def window_strands(events, widths):
-    """The strand pieces of a window of events, walked from its boundary.
+    """The strand pieces of a window of events, found in one sweep.
 
     widths holds the strand count of every slice of the window, both
-    boundaries included.  Every piece is walked once, from the first of
-    its two boundary ports in the order left 1..w, right 1..w; a port is
-    (0, p) on the left boundary and (1, p) on the right one.  Returns
-    (pieces, signs): pieces maps each starting port to the port where the
-    piece leaves and the ('h'|'f', cid) tokens it meets; signs maps each
-    crossing to its sign relative to the walk directions.  Returns None
-    when some interior arc is on no piece, i.e. the window holds a
-    closed component of its own.
+    boundaries included.  Sweeping left to right, each strand position
+    holds an open segment: X appends an ('h'|'f', cid) token to its two
+    segments and swaps them, U opens two whose left ends are joined, A
+    joins the right ends of its two.  Pieces are chained from the ports
+    left 1..w, then right 1..w, each from the first of its two ports; a
+    port is (0, p) on the left boundary and (1, p) on the right one.  A
+    segment entered at its right end is read backward.  Returns (pieces,
+    signs): pieces maps each starting port to its exit port and the
+    tokens met; signs maps each crossing to its over sign times the
+    reading directions of its two segments.  Returns None when a segment
+    is on no piece: the window holds a closed component of its own.
 
-    A Rearrange checks its window with it, and full validation runs it
-    on the whole word as one window, both of whose boundaries are the
-    ray slice, then glues the pieces across the ray
-    (AnnularDiagram._traverse).
+    A Rearrange checks its window with it; full validation runs it on
+    the whole word, whose two boundaries are the sides of the ray slice,
+    and glues the pieces across the ray (AnnularDiagram._traverse).
     """
-    k = len(events)
-    pieces, passes, ends = {}, {}, set()
-    reached = 0
-    ports = [(0, p) for p in range(1, widths[0] + 1)]
-    ports += [(1, p) for p in range(1, widths[k] + 1)]
-    for start in ports:
-        if start in ends:
+    # segment s has ends 2s, 2s + 1 (left, right); link[end]: its mate or port
+    at = list(range(widths[0]))
+    toks = [[] for _ in at]
+    link = [end for p in range(1, widths[0] + 1) for end in ((0, p), None)]
+    crossings = []
+    for ev in events:
+        i = ev.pos - 1
+        if ev.kind == 'X':
+            a, b = at[i], at[i + 1]
+            toks[a].append((_token_kind(ev, 1), ev.cid))
+            toks[b].append((_token_kind(ev, 2), ev.cid))
+            crossings.append((ev.cid, 1 if ev.over == '+' else -1, a, b))
+            at[i], at[i + 1] = b, a
+        elif ev.kind == 'U':
+            s = len(toks)
+            toks += [], []
+            link += [2 * s + 2, None, 2 * s, None]
+            at[i:i] = s, s + 1
+        else:
+            a, b = at[i], at[i + 1]
+            link[2 * a + 1], link[2 * b + 1] = 2 * b + 1, 2 * a + 1
+            del at[i:i + 2]
+    for p, s in enumerate(at, 1):
+        link[2 * s + 1] = (1, p)
+    pieces, way = {}, {}
+    starts = [((0, p), 2 * p - 2) for p in range(1, widths[0] + 1)]
+    starts += [((1, p), 2 * s + 1) for p, s in enumerate(at, 1)]
+    for start, end in starts:
+        if end >> 1 in way:         # the piece was read from its other port
             continue
-        p = start[1]
-        t, forward = (k, False) if start[0] else (0, True)
         tokens = []
-        while t != (k if forward else 0):
-            ev_i = t if forward else t - 1
-            ev = events[ev_i]
-            leaving, p, line = strand_step(ev, forward, p)
-            if line:
-                passes.setdefault(ev.cid, (ev.over, {}))[1][line] = 1 if forward else -1
-                tokens.append((_token_kind(ev, line), ev.cid))
-            t, forward = (ev_i + 1 if leaving else ev_i), leaving
-            reached += 0 < t < k
-        end = (1 if forward else 0, p)
-        ends.add(end)
+        while type(end) is int:
+            s, backward = divmod(end, 2)
+            way[s] = -1 if backward else 1
+            tokens += reversed(toks[s]) if backward else toks[s]
+            end = link[end ^ 1]
         pieces[start] = (end, tuple(tokens))
-    if reached != sum(widths[1:k]):
+    if len(way) != len(toks):
         return None
-    signs = {cid: d[1] * d[2] * (1 if over == '+' else -1)
-             for cid, (over, d) in passes.items()}
-    return pieces, signs
+    return pieces, {cid: o * way[a] * way[b] for cid, o, a, b in crossings}
 
 
 def _walk_to_crossing(events, t, p, forward, ray_here):

@@ -343,14 +343,15 @@ class Rearrange(Move):
     Any isotopy of the annulus that crosses no Reidemeister stratum and
     keeps the diagram transverse to the ray acts this way.  The window
     is checked first: the new events must have the old boundary widths
-    and fit their slices, and the strand pieces walked from every
-    boundary port must leave at the same port, meet the same tokens
-    (hence the same crossing ids) and give every crossing the same
-    relative sign, with no interior arc left over.  Then the Gauss
-    diagram is the parent's, and only the window's widths change.  A
-    window that fails this may still be planar through the rest of the
-    word, so validity is then decided extensionally: the whole word is
-    rebuilt and its Gauss data compared with the parent's.
+    and fit their slices, and one sweep of each window
+    (annular.window_strands) must join the same boundary ports by pieces
+    that meet the same tokens (hence the same crossing ids) and give
+    every crossing the same relative sign, with no closed component
+    inside.  Then the Gauss diagram is the parent's, and only the
+    window's widths change.  A window that fails this may still be
+    planar through the rest of the word, so validity is then decided
+    extensionally: the whole word is rebuilt and its Gauss data compared
+    with the parent's.
     """
 
     slot: int
