@@ -148,7 +148,7 @@ def window_strands(events, widths):
     # segment s has ends 2s, 2s + 1 (left, right); link[end]: its mate or port
     at = list(range(widths[0]))
     toks = [[] for _ in at]
-    link = [end for p in range(1, widths[0] + 1) for end in ((0, p), None)]
+    link = [v for p in range(1, widths[0] + 1) for v in ((0, p), None)]
     crossings = []
     for ev in events:
         i = ev.pos - 1

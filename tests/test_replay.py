@@ -24,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 from cocycle_lab import verify
 from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
                                 parse_morse)
-from cocycle_lab.cabling import (LONG_FIG8, LONG_TREFOIL, braid_events,
-                                 closed_cable, long_events, normalize_w1)
+from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS27, LONG_TREFOIL,
+                                 braid_events, closed_cable, long_events,
+                                 normalize_w1)
 from cocycle_lab.cli import run
 from cocycle_lab.cocycle import evaluate_all
 from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
@@ -40,6 +41,7 @@ from cocycle_lab.moves import (Exchange, Move, Movie, MoveError, R1Delete,
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
+TORUS27_2 = normalize_w1(LONG_TORUS27, 2)
 
 
 def assert_matches_reference(state, where):
@@ -232,13 +234,11 @@ def _full_rearrange(d, mv):
     return out
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_window_check_accepts_only_what_the_full_check_accepts(data):
-    # random reorderings, with position shifts, of a short window of a
-    # state of a push loop
-    states = push_loop([1], TREFOIL1, 2).states()
-    d = data.draw(st.sampled_from(states[::3]), label="state")
+def _check_random_rearrange(data, states):
+    """A random reordering, with position shifts, of a short window of
+    one of the states: the window check accepts it only if the full
+    check does, and then gives the same state."""
+    d = data.draw(st.sampled_from(states), label="state")
     evs = d.events
     k = data.draw(st.integers(1, 4), label="count")
     s = data.draw(st.integers(0, len(evs) - k), label="slot")
@@ -259,6 +259,29 @@ def test_window_check_accepts_only_what_the_full_check_accepts(data):
     got = mv.apply(d)
     assert got.events == want.events
     assert_matches_reference(got, repr(mv))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_check_accepts_only_what_the_full_check_accepts(data):
+    # random reorderings, with position shifts, of a short window of a
+    # state of a push loop
+    states = push_loop([1], TREFOIL1, 2).states()
+    _check_random_rearrange(data, states[::3])
+
+
+@functools.cache
+def _wide_push_states():
+    return tuple(push_loop([1, 2], TREFOIL1, 3).states()
+                 + push_loop([1], TORUS27_2, 2).states())
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_check_accepts_only_what_the_full_check_accepts_on_wide_states(data):
+    # the same on states of push trefoil n = 3 and push torus27 w1 = 2,
+    # n = 2, whose cup and cap families are wider than two strands
+    _check_random_rearrange(data, _wide_push_states())
 
 
 def test_tetrahedron_loops():
