@@ -112,3 +112,44 @@ def test_classify_r3_table(word, flags):
     got = (t.d, t.hm, t.ml, t.local_type, t.global_type,
            (t.marks['d'], t.marks['hm'], t.marks['ml']), t.sign, t.w_hm)
     assert got == want
+
+
+def _r3_applies(monkeypatch):
+    """(state before, slot) of every R3 apply in the transport-grid movies
+    and in the loops of the tetrahedron, cube and contractible suites."""
+    from test_annular import _transport_grid_movies
+
+    from cocycle_lab import verify
+    movies = _transport_grid_movies()
+    with monkeypatch.context() as m:
+        m.setattr(verify, '_check_loop_zero',
+                  lambda rep, movie, case: movies.append(movie))
+        for suite in ('tetrahedron', 'cube', 'contractible'):
+            verify.run_suite(suite)
+    return [(before, mv.slot) for movie in movies
+            for before, mv, _ in movie.steps() if isinstance(mv, R3)]
+
+
+def _sign_by_interleaving(g, t):
+    """Reference sign: +1 when an even number of the triangle's three
+    chord pairs interleave."""
+    inter = sum(g.interleaved(x, y)
+                for x, y in ((t.d, t.hm), (t.d, t.ml), (t.hm, t.ml)))
+    return 1 if inter in (0, 2) else -1
+
+
+def test_r3_triangle_is_three_adjacent_token_pairs(monkeypatch):
+    # each strand meets two of the triangle's crossings back to back, and
+    # no ray passage lies inside the pattern
+    from cocycle_lab.moves import r3_triple
+    applies = _r3_applies(monkeypatch)
+    signs = set()
+    for state, slot in applies:
+        g = state.gauss()
+        pos = sorted(g.position(k, ev.cid)
+                     for ev in r3_triple(state.events, slot) for k in 'hf')
+        assert [pos[1] - pos[0], pos[3] - pos[2], pos[5] - pos[4]] == [1, 1, 1]
+        t = classify_r3(state, slot)
+        assert t.sign == _sign_by_interleaving(g, t), (state.events, slot)
+        signs.add(t.sign)
+    assert len(applies) > 1000 and signs == {1, -1}

@@ -177,3 +177,54 @@ def test_contractible_walks_are_pinned():
         digest.update((repr(movie.moves) + "\n").encode())
     assert digest.hexdigest() == (
         'd5891cef2ed1a1dc9e3825bf007df81df95030de51fe3555002f7f0e26d7c325')
+
+
+def _every_candidate_checked(d, rng):
+    """Reference for _applicable_moves: build every candidate, in option
+    order, and keep it where its check passes."""
+    from cocycle_lab.annular import DiagramError
+    from cocycle_lab.moves import Exchange, MoveError, R2Create
+    evs = d.events
+    cands = [R3(s) for s in range(len(evs) - 2)]
+    for s in range(len(evs) - 1):
+        cands += [Exchange(s), R2Delete(s)]
+    for _ in range(4):
+        cands.append(R2Create(rng.randrange(len(evs) + 1), rng.randrange(1, 5),
+                              rng.choice('+-')))
+    out = []
+    for mv in cands:
+        try:
+            mv.check(d)
+        except (MoveError, DiagramError):
+            continue
+        out.append(mv)
+    return out
+
+
+def test_applicable_moves_match_the_checked_candidates():
+    # every state of the 300 pinned walks, under three rng seeds each:
+    # the same options, in the same order, from the same rng draws
+    import random
+    from collections import Counter
+
+    from cocycle_lab.discriminant import _applicable_moves
+    from cocycle_lab.verify import corpus_diagrams
+    hosts = corpus_diagrams()
+    seen, kinds, cyclic = set(), Counter(), 0
+    for seed in range(300):
+        movie = random_contractible_loop(hosts[seed % len(hosts)][1], 6, seed)
+        for d in movie.states():
+            key = (d.n, d.w0, tuple(d.events))
+            if key in seen:         # the walk back retraces its states
+                continue
+            seen.add(key)
+            for r in range(3):
+                got_rng, want_rng = random.Random(r), random.Random(r)
+                got = _applicable_moves(d, got_rng)
+                assert got == _every_candidate_checked(d, want_rng), (seed, r)
+                assert got_rng.getstate() == want_rng.getstate(), (seed, r)
+                kinds.update(type(mv).__name__ for mv in got)
+            cyclic += sum(r3_triple(d.events, s) is not None and R3(s) not in got
+                          for s in range(len(d.events)))
+    assert set(kinds) == {'R3', 'Exchange', 'R2Delete', 'R2Create'}
+    assert cyclic > 0, "no triple point pattern was refused for its heights"
