@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauss import match_n0_pairs
-from .moves import R3, MoveError, _r3_strand_tokens
+from .moves import R3, MoveError, r3_token_pairs
 
 
 class CocycleError(ValueError):
@@ -48,9 +48,11 @@ def classify_r3(state, slot, n=None):
     if n is None:
         n = state.n
     try:
-        met = _r3_strand_tokens(R3(slot).check(state))
+        trip = R3(slot).check(state)
     except MoveError as exc:
         raise CocycleError(str(exc)) from exc
+    g = state.gauss()
+    met = [g.tokens[i:i + 2] for i in r3_token_pairs(g, trip)]
     # a strand passes over ('h') one crossing per strand below it; R3's
     # check leaves only totally ordered heights, scored 0, 1 and 2
     score = [(m[0][0] == 'h') + (m[1][0] == 'h') for m in met]
@@ -58,7 +60,6 @@ def classify_r3(state, slot, n=None):
     lo = {cid for _, cid in met[score.index(0)]}
     (d,), (hm,), (ml,) = hi & lo, hi - lo, lo - hi
 
-    g = state.gauss()
     marks = {q: g.marking(q) for q in (d, hm, ml)}
     total = marks[hm] + marks[ml] - marks[d]
     if total == n:
@@ -72,8 +73,11 @@ def classify_r3(state, slot, n=None):
     key = ((1 - wd) // 2, (1 - whm) // 2, (1 - wml) // 2)
     local = 1 + key[0] * 4 + key[1] * 2 + key[2]
 
-    inter = sum(g.interleaved(x, y)
-                for x, y in ((d, hm), (d, ml), (hm, ml)))
+    # two chords interleave when exactly one end of one lies between the
+    # ends of the other: their four ends, in token order, alternate
+    ends = [cid for m in met for _, cid in m]
+    fours = ([e for e in ends if e in xy] for xy in ((d, hm), (d, ml), (hm, ml)))
+    inter = sum(f[0] == f[2] for f in fours)
     sign = 1 if inter in (0, 2) else -1
 
     return TripleData(slot=slot, d=d, hm=hm, ml=ml,

@@ -19,7 +19,8 @@ import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
 from .gauss import GaussDiagram
-from .moves import Exchange, Movie, MoveError, R2Create, R2Delete, R3, _other
+from .moves import (Exchange, Movie, MoveError, R2Create, R2Delete, R3, _other,
+                    cancelling_pair, exchange_pair, r3_triple)
 
 # half twist word the meridian starts from, and the walk around the
 # octagon: ('B', k) is a triple point move at word offset k, ('C', k) a
@@ -298,22 +299,29 @@ def random_contractible_loop(host, length, seed):
 
 
 def _applicable_moves(d, rng):
-    """R3, Exchange and R2Delete at each slot, and four random R2Creates,
-    in that order, kept where their check passes."""
+    """Every R3, then Exchange and R2Delete at each slot, then four random
+    R2Creates, kept where they apply.  One pass over the slots builds a
+    move only where its pattern function matches; R3's height rule and
+    the R2Creates' whole rule are left to check."""
     evs = d.events
-    cands = [R3(s) for s in range(len(evs) - 2)]
+    r3s, pairs = [], []
     for s in range(len(evs) - 1):
-        cands += [Exchange(s), R2Delete(s)]
+        if r3_triple(evs, s) and _applies(R3(s), d):
+            r3s.append(R3(s))
+        if exchange_pair(evs, s):
+            pairs.append(Exchange(s))
+        if cancelling_pair(evs, s):
+            pairs.append(R2Delete(s))
     # a couple of random creations rather than the full slot * position
     # grid, to keep the option list balanced
-    for _ in range(4):
-        cands.append(R2Create(rng.randrange(len(evs) + 1), rng.randrange(1, 5),
-                              rng.choice('+-')))
-    out = []
-    for mv in cands:
-        try:
-            mv.check(d)
-        except (MoveError, DiagramError):
-            continue
-        out.append(mv)
-    return out
+    creates = [R2Create(rng.randrange(len(evs) + 1), rng.randrange(1, 5),
+                        rng.choice('+-')) for _ in range(4)]
+    return r3s + pairs + [mv for mv in creates if _applies(mv, d)]
+
+
+def _applies(mv, d):
+    try:
+        mv.check(d)
+    except (MoveError, DiagramError):
+        return False
+    return True

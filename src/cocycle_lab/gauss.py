@@ -114,13 +114,6 @@ class GaussDiagram:
         size = len(self.tokens)
         return 0 < (idx - start) % size < (stop - start) % size
 
-    def interleaved(self, cid1, cid2):
-        """Do the chords of cid1 and cid2 cross inside the circle?"""
-        a, b = self.position('h', cid1), self.position('f', cid1)
-        c = self.position('h', cid2)
-        d = self.position('f', cid2)
-        return self.in_open_arc(c, a, b) != self.in_open_arc(d, a, b)
-
     def canonical_tokens(self):
         """Cyclic-rotation-invariant token tuple, for planar-equality tests."""
         toks = tuple(self.tokens)

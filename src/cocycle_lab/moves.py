@@ -16,6 +16,9 @@ event t, slot 0 at the ray.
 Each move a random walk proposes (R1Delete, R2Create, R2Delete, R3,
 Exchange) states its validity rule once, in check: it raises the move's
 error or returns what apply needs, and apply starts by calling it.
+R2Delete, Exchange and R3 match their pattern with a function of (events,
+slot) that returns the events or None (cancelling_pair, exchange_pair,
+r3_triple), which random walks call too, before building a move.
 
 Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
 R2Delete and a Rearrange that passes its window check) build the state
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annular import (AnnularDiagram, DiagramError, MorseEvent, _token_kind,
-                      fits, token_gap, window_strands)
+from .annular import (AnnularDiagram, DiagramError, MorseEvent, fits,
+                      token_gap, window_strands)
 from .gauss import ray_starts
 
 
@@ -171,6 +174,16 @@ class R2Create(Move):
                                       w[:s] + [ws, ws] + w[s:])
 
 
+def cancelling_pair(events, slot):
+    """The tangency pair X(p) X(p) with opposite flags at slot."""
+    if not 0 <= slot <= len(events) - 2:
+        return None
+    a, b = events[slot], events[slot + 1]
+    if a.kind != 'X' or b.kind != 'X' or a.pos != b.pos or a.over == b.over:
+        return None
+    return a, b
+
+
 @dataclass(frozen=True)
 class R2Delete(Move):
     """Cancel a tangency pair X(pos) X(pos) with opposite over flags.
@@ -183,15 +196,10 @@ class R2Delete(Move):
     slot: int
 
     def check(self, diagram):
-        """The opposite-flag pair X(p) X(p) at slot."""
-        evs = diagram.events
-        if not 0 <= self.slot <= len(evs) - 2:
-            raise MoveError('E_R2', "slot out of range")
-        a, b = evs[self.slot:self.slot + 2]
-        if not (a.kind == 'X' and b.kind == 'X' and a.pos == b.pos
-                and a.over == _other(b.over)):
+        pair = cancelling_pair(diagram.events, self.slot)
+        if pair is None:
             raise MoveError('E_R2', f"no cancelling pair at slot {self.slot}")
-        return a, b
+        return pair
 
     def apply(self, diagram):
         a, b = self.check(diagram)
@@ -215,33 +223,19 @@ def r3_triple(events, slot):
     """The three crossing events of a triple point pattern at slot."""
     if not 0 <= slot <= len(events) - 3:
         return None
-    a, b, c = events[slot:slot + 3]
-    if not all(e.kind == 'X' for e in (a, b, c)):
-        return None
-    if a.pos != c.pos or abs(a.pos - b.pos) != 1:
+    a, b, c = events[slot], events[slot + 1], events[slot + 2]
+    if (a.kind != 'X' or b.kind != 'X' or c.kind != 'X' or a.pos != c.pos
+            or abs(a.pos - b.pos) != 1):
         return None
     return a, b, c
 
 
-def _r3_strand_tokens(trip):
-    """For each strand of a triple point pattern, the two crossing tokens
-    it meets back to back, in event order.
-
-    The strands are followed through the pattern by position and
-    numbered 0, 1, 2 bottom to top at entry.  As in the diagram
-    traversal, at X(i) line 1 is the strand ascending from i to i+1,
-    and annular._token_kind gives the kind of its token.
-    """
-    base = min(ev.pos for ev in trip)
-    occupant = [0, 1, 2]
-    met = ([], [], [])
-    for ev in trip:
-        i = ev.pos - base
-        ascending, other = occupant[i], occupant[i + 1]
-        met[ascending].append((_token_kind(ev, 1), ev.cid))
-        met[other].append((_token_kind(ev, 2), ev.cid))
-        occupant[i], occupant[i + 1] = other, ascending
-    return met
+def r3_token_pairs(g, trip):
+    """Index of the first token of each strand's pair in a triple point
+    pattern.  Each strand meets two of its crossings back to back, and no
+    ray passage (the token list starts on one) lies inside the pattern,
+    so the six tokens' sorted positions form three adjacent pairs."""
+    return sorted(g.position(k, ev.cid) for ev in trip for k in 'hf')[::2]
 
 
 @dataclass(frozen=True)
@@ -252,9 +246,8 @@ class R3(Move):
 
     Each strand then meets its two crossings of the triangle in the
     opposite order and with the same token kinds, so the Gauss data
-    changes by three transpositions of adjacent tokens.  The pair never
-    wraps around the token list: the walk starts (and, reversed, ends)
-    on a ray passage, and no ray passage lies inside the pattern.
+    changes by three transpositions of adjacent tokens, at the pairs
+    r3_token_pairs finds.
     """
 
     slot: int
@@ -276,11 +269,7 @@ class R3(Move):
             MorseEvent('X', a.pos, b.over, b.cid),
             MorseEvent('X', b.pos, a.over, a.cid)]
         g = diagram.gauss()
-        cuts = []
-        for first, second in _r3_strand_tokens(trip):
-            i = min(g.position(*first), g.position(*second))
-            cuts.append((i, i + 2, g.tokens[i:i + 2][::-1]))
-        cuts.sort()
+        cuts = [(i, i + 2, g.tokens[i:i + 2][::-1]) for i in r3_token_pairs(g, trip)]
         return AnnularDiagram._derive(diagram, evs, g.edited(cuts, g.signs))
 
 
@@ -306,6 +295,16 @@ class RayShift(Move):
         return AnnularDiagram(diagram.n, out, w0=w0)
 
 
+def exchange_pair(events, slot):
+    """The two crossings at slot, if they act on disjoint strand pairs."""
+    if not 0 <= slot <= len(events) - 2:
+        return None
+    a, b = events[slot], events[slot + 1]
+    if a.kind != 'X' or b.kind != 'X' or abs(a.pos - b.pos) < 2:
+        return None
+    return a, b
+
+
 @dataclass(frozen=True)
 class Exchange(Move):
     """Swap two adjacent crossing events acting on disjoint strand pairs.
@@ -319,14 +318,10 @@ class Exchange(Move):
     slot: int
 
     def check(self, diagram):
-        """The two crossings at slot, if they act on disjoint strand pairs."""
-        evs = diagram.events
-        if not 0 <= self.slot < len(evs) - 1:
-            raise MoveError('E_EXCHANGE', "slot out of range")
-        a, b = evs[self.slot], evs[self.slot + 1]
-        if a.kind != 'X' or b.kind != 'X' or abs(a.pos - b.pos) < 2:
-            raise MoveError('E_EXCHANGE', "events share a strand")
-        return a, b
+        pair = exchange_pair(diagram.events, self.slot)
+        if pair is None:
+            raise MoveError('E_EXCHANGE', f"no disjoint crossing pair at slot {self.slot}")
+        return pair
 
     def apply(self, diagram):
         a, b = self.check(diagram)

@@ -133,7 +133,8 @@ def _r3_applies(monkeypatch):
 def _sign_by_interleaving(g, t):
     """Reference sign: +1 when an even number of the triangle's three
     chord pairs interleave."""
-    inter = sum(g.interleaved(x, y)
+    from test_gauss import interleaved
+    inter = sum(interleaved(g, x, y)
                 for x, y in ((t.d, t.hm), (t.d, t.ml), (t.hm, t.ml)))
     return 1 if inter in (0, 2) else -1
 

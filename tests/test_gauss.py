@@ -16,6 +16,14 @@ def cable(text, word, n):
     return closed_cable(braid_events(word), long_events(text), n).gauss()
 
 
+def interleaved(g, cid1, cid2):
+    """Do the chords of cid1 and cid2 cross inside the circle?  Exactly one
+    end of cid2 lies on the open arc from the head to the foot of cid1."""
+    a, b = g.position('h', cid1), g.position('f', cid1)
+    return (g.in_open_arc(g.position('h', cid2), a, b)
+            != g.in_open_arc(g.position('f', cid2), a, b))
+
+
 def test_parse_roundtrip():
     g = closure(LONG_TREFOIL)
     again = parse_gauss(g.text())
@@ -71,7 +79,7 @@ def test_matched_pairs_have_required_markings():
     for qn, q0, weight in match_n0_pairs(g, 2):
         assert g.marking(qn) == 2
         assert g.marking(q0) == 0
-        assert g.interleaved(qn, q0)
+        assert interleaved(g, qn, q0)
         assert weight == g.signs[qn] * g.signs[q0]
 
 
