@@ -76,8 +76,8 @@ def classify_r3(state, slot, n=None):
     # two chords interleave when exactly one end of one lies between the
     # ends of the other: their four ends, in token order, alternate
     ends = [cid for m in met for _, cid in m]
-    fours = ([e for e in ends if e in xy] for xy in ((d, hm), (d, ml), (hm, ml)))
-    inter = sum(f[0] == f[2] for f in fours)
+    pair_ends = ([e for e in ends if e in xy] for xy in ((d, hm), (d, ml), (hm, ml)))
+    inter = sum(f[0] == f[2] for f in pair_ends)
     sign = 1 if inter in (0, 2) else -1
 
     return TripleData(slot=slot, d=d, hm=hm, ml=ml,

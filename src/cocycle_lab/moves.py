@@ -320,7 +320,7 @@ class Exchange(Move):
     def check(self, diagram):
         pair = exchange_pair(diagram.events, self.slot)
         if pair is None:
-            raise MoveError('E_EXCHANGE', f"no disjoint crossing pair at slot {self.slot}")
+            raise MoveError('E_EXCHANGE', f"no exchangeable pair at slot {self.slot}")
         return pair
 
     def apply(self, diagram):
