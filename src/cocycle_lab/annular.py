@@ -409,7 +409,7 @@ class AnnularDiagram:
     # -- misc --------------------------------------------------------------
 
     def max_cid(self):
-        return max([ev.cid for ev in self.events if ev.kind == 'X'], default=0)
+        return max(self._gauss.signs, default=0)
 
     def __repr__(self):
         return f"AnnularDiagram(n={self.n}, {format_morse(self)!r})"

@@ -155,12 +155,12 @@ def _explain_table(rep):
     ]
 
 
-def _report_payload(movie, n, explain=False):
-    reports = evaluate_all(movie, n, report=True)
+def _report_payload(movie, explain=False):
+    reports = evaluate_all(movie, report=True)
     values = {a: rep.value for a, rep in reports.items()}
     coeffs = interpolation_polynomial(values)
     payload = {
-        'n': n,
+        'n': movie.start.n,
         'values': {str(a): values[a] for a in sorted(values)},
         'polynomial': [str(c) for c in coeffs],
         'polynomial_text': polynomial_text(coeffs),
@@ -224,22 +224,22 @@ def _cmd_loops(args):
 def _cmd_eval(args):
     movie = _loop_movie(args)
     if args.a is not None:
-        rep = evaluate(movie, args.a, args.n, report=True)
+        rep = evaluate(movie, args.a, report=True)
         if args.explain:
             key = str(args.a)
-            _emit({'n': args.n, 'values': {key: rep.value},
+            _emit({'n': rep.n, 'values': {key: rep.value},
                    'moves': {key: _explain_table(rep)}}, args.out)
         else:
             print(rep.value)
         return 0
-    _emit(_report_payload(movie, args.n, explain=args.explain), args.out)
+    _emit(_report_payload(movie, explain=args.explain), args.out)
     return 0
 
 
 def _cmd_pairing(args):
     movie = pairing(_knot_text(args.left), _framed(args.right, args.w1),
                     args.n)
-    _emit(_report_payload(movie, args.n, explain=args.explain), args.out)
+    _emit(_report_payload(movie, explain=args.explain), args.out)
     return 0
 
 

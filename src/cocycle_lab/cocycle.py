@@ -43,10 +43,8 @@ class TripleData:
     w_hm: int
 
 
-def classify_r3(state, slot, n=None):
+def classify_r3(state, slot):
     """TripleData for the R3 move applied at this slot of this state."""
-    if n is None:
-        n = state.n
     try:
         trip = R3(slot).check(state)
     except MoveError as exc:
@@ -62,7 +60,7 @@ def classify_r3(state, slot, n=None):
 
     marks = {q: g.marking(q) for q in (d, hm, ml)}
     total = marks[hm] + marks[ml] - marks[d]
-    if total == n:
+    if total == state.n:
         gtype = 'r'
     elif total == 0:
         gtype = 'l'
@@ -169,7 +167,7 @@ def _rows(state, slot, index, n, avals):
     Classification and the a-independent counts are done once; only the
     (n, n, n) class needs l_p at the marking n - a of each a.
     """
-    t = classify_r3(state, slot, n)
+    t = classify_r3(state, slot)
     rows = {a: MoveRow(index=index, triple=t, contrib=0) for a in avals}
     md, mhm, mml = t.marks['d'], t.marks['hm'], t.marks['ml']
     if t.global_type != 'r' or mhm != n or md != mml:
@@ -192,14 +190,13 @@ def _rows(state, slot, index, n, avals):
     return rows
 
 
-def walk(movie, avals, n=None):
+def walk(movie, avals):
     """Replay a movie once and evaluate it at every a in avals.
 
     Returns {a: CocycleReport}.  A triple point move that cannot be
     classified raises its CocycleError.
     """
-    if n is None:
-        n = movie.start.n
+    n = movie.start.n
     reports = {a: CocycleReport(n=n, a=a, value=0) for a in avals}
     for index, (before, mv, _) in enumerate(movie.steps(), 1):
         if avals and isinstance(mv, R3):
@@ -209,27 +206,24 @@ def walk(movie, avals, n=None):
     return reports
 
 
-def evaluate(movie, a, n=None, report=False):
-    """Value of the parameter-a cocycle on a movie.
+def evaluate(movie, a, report=False):
+    """Value of the parameter-a cocycle on a movie of class n.
 
     The parameter must satisfy 0 < a < n.  Returns an int, or a
     CocycleReport carrying one row per triple point move.
     """
-    if n is None:
-        n = movie.start.n
+    n = movie.start.n
     if not 0 < a < n:
         raise CocycleError(f"parameter a={a} outside 0 < a < {n}")
-    rep = walk(movie, (a,), n)[a]
+    rep = walk(movie, (a,))[a]
     return rep if report else rep.value
 
 
-def evaluate_all(movie, n=None, report=False):
+def evaluate_all(movie, report=False):
     """Values for every admissible parameter a = 1 .. n-1, from one
     replay of the movie."""
-    if n is None:
-        n = movie.start.n
     return {a: rep if report else rep.value
-            for a, rep in walk(movie, range(1, n), n).items()}
+            for a, rep in walk(movie, range(1, movie.start.n)).items()}
 
 
 def interpolation_polynomial(values):

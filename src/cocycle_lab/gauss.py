@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-import re
 
 
 class DiagramError(ValueError):
@@ -119,44 +118,6 @@ class GaussDiagram:
         toks = tuple(self.tokens)
         return min((toks[r:] + toks[:r] for r in ray_starts(toks)), default=toks)
 
-    def text(self):
-        words = []
-        for tok in self.tokens:
-            if tok[0] == 'r':
-                words.append('*' if tok[1] > 0 else '*-')
-            else:
-                words.append(f"{tok[0]}{tok[1]}")
-        signline = ' '.join(
-            f"{cid}:{'+' if self.signs[cid] > 0 else '-'}" for cid in sorted(self.signs))
-        return ' '.join(words) + '\n' + 'signs: ' + signline
-
-
-def parse_gauss(text):
-    lines = [l for l in text.strip().split('\n') if l.strip()]
-    body = lines[0].split()
-    tokens = []
-    for w in body:
-        if w == '*':
-            tokens.append(('r', 1))
-        elif w == '*-':
-            tokens.append(('r', -1))
-        else:
-            m = re.match(r'^(h|f)(\d+)$', w)
-            if not m:
-                raise DiagramError('E_PARSE', f"bad gauss token {w!r}")
-            tokens.append((m.group(1), int(m.group(2))))
-    signs = {}
-    for l in lines[1:]:
-        l = l.strip()
-        if not l.startswith('signs:'):
-            raise DiagramError('E_PARSE', f"bad gauss line {l!r}")
-        for w in l[6:].split():
-            m = re.match(r'^(\d+):([+-])$', w)
-            if not m:
-                raise DiagramError('E_PARSE', f"bad sign token {w!r}")
-            signs[int(m.group(1))] = 1 if m.group(2) == '+' else -1
-    return GaussDiagram(tokens, signs)
-
 
 # ---------------------------------------------------------------------------
 # Invariants
@@ -199,10 +160,10 @@ def match_n0_pairs(diagram, n=None, tops=None):
     return out
 
 
-def v2(diagram, n=None):
+def v2(diagram):
     """Degree-two invariant of a class-n diagram, counted by interleaved
     (marking n, marking 0) crossing pairs."""
-    return sum(w for _, _, w in match_n0_pairs(diagram, n))
+    return sum(w for _, _, w in match_n0_pairs(diagram))
 
 
 def _crossing_sequence(diagram):
@@ -268,15 +229,14 @@ def c2k(diagram, k):
     return total
 
 
-def lift_to_cover(diagram, n=None):
+def lift_to_cover(diagram):
     """Class-1 diagram of the knot lifted along the n-fold cover.
 
     Keeps the crossings of marking 0 and marking n and a single ray
     passage; deck transformations permute the possible choices, so any
     counter-clockwise passage serves.
     """
-    if n is None:
-        n = diagram.homology_class
+    n = diagram.homology_class
     marks = diagram.markings()
     keep = {c for c in diagram.signs if marks[c] in (0, n)}
     tokens = []

@@ -93,9 +93,6 @@ class _Transport:
         self.b = 1              # base strand position of the mover bundle
         self.d = d              # +1 rightward along the word, -1 leftward
 
-    def emit(self, mv):
-        self.movie.append(mv)
-
     def slot_of(self, ui):
         return sum(u.length for u in self.units[:ui])
 
@@ -113,7 +110,7 @@ class _Transport:
         vs = self.slot_of(other)
         vevs = list(self.movie.final().events[vs:vs + self.units[other].length])
         window = tuple(vevs + new_mov if (self.d == 1) == swap else new_mov + vevs)
-        self.emit(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
+        self.movie.append(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
         if swap:
             self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
             self.mi = other
@@ -185,11 +182,11 @@ class _Transport:
         while count > 0:
             evs = self.movie.final().events
             if abs(evs[slot].pos - evs[slot + d].pos) >= 2:
-                self.emit(Exchange(slot + ex))
+                self.movie.append(Exchange(slot + ex))
                 slot += d
                 count -= 1
             else:
-                self.emit(R3(slot + r3))
+                self.movie.append(R3(slot + r3))
                 slot += 2 * d
                 count -= 2
         if count:
@@ -221,7 +218,7 @@ class _Transport:
                     cid = pair_cid[frozenset((('B', j), ('A', n - step)))]
                     out.append(MorseEvent('X', pos, over, cid))
         if out != evs:
-            self.emit(Rearrange(s, v.length, tuple(out)))
+            self.movie.append(Rearrange(s, v.length, tuple(out)))
 
     def ray_pass(self):
         """Carry the mover across the ray to the other end of the word."""
@@ -230,7 +227,7 @@ class _Transport:
             raise PlannerError("ray pass away from the word "
                                + ("end" if self.d == 1 else "start"))
         for _ in range(self.mover().length):
-            self.emit(RayShift(-self.d))
+            self.movie.append(RayShift(-self.d))
         self.mi = len(self.units) - 1 - end
         self.units.insert(self.mi, self.units.pop(end))
 

@@ -146,11 +146,11 @@ def suite_cube(params=None):
     return rep
 
 
-def _push_states(limit_fixtures=2, stride=7):
-    for name, tangle, text, n in CABLE_FIXTURES[:limit_fixtures]:
+def _push_states():
+    for name, tangle, text, n in CABLE_FIXTURES[:2]:
         movie = push_loop(tangle, text, n)
         states = movie.states()
-        for i in range(0, len(states), stride):
+        for i in range(0, len(states), 7):
             yield f"{name}[{i}]", states[i]
 
 
@@ -184,7 +184,7 @@ def suite_contractible(params=None):
     hosts = corpus_diagrams()
     for seed in seeds:
         name, d = hosts[seed % len(hosts)]
-        movie = random_contractible_loop(d, params.get("length", 6), seed)
+        movie = random_contractible_loop(d, 6, seed)
         _check_loop_zero(rep, movie, f"{name} seed={seed}")
     return rep
 
@@ -221,13 +221,10 @@ def semi_regular_variant(tangle_word, long_text, seed):
 
 
 def suite_scan_invariance(params=None):
-    params = params or {}
     rep = SuiteReport("scan-invariance")
-    fixtures = params.get("fixtures", CABLE_FIXTURES[:3])
-    count = params.get("count", 20)
-    for name, tangle, text, n in fixtures:
+    for name, tangle, text, n in CABLE_FIXTURES[:3]:
         base = evaluate_all(scan_path(tangle, text, n))
-        for seed in range(count):
+        for seed in range(20):
             t2, x2 = semi_regular_variant(tangle, text, seed * 31 + 7)
             got = evaluate_all(scan_path(t2, x2, n))
             rep.checks += 1

@@ -29,12 +29,12 @@ def timed(thunk, limit):
 
 
 def test_push_value_trefoil():
-    value = timed(lambda: evaluate(push_loop([1], TREFOIL1, 2), 1, 2), 5.0)
+    value = timed(lambda: evaluate(push_loop([1], TREFOIL1, 2), 1), 5.0)
     assert value == 1
 
 
 def test_push_value_torus25():
-    value = timed(lambda: evaluate(push_loop([1], TORUS25_2, 2), 1, 2), 5.0)
+    value = timed(lambda: evaluate(push_loop([1], TORUS25_2, 2), 1), 5.0)
     assert value == 9
 
 
@@ -42,27 +42,27 @@ def test_push_value_torus25():
 
 
 def test_rotation_and_scan_trefoil():
-    rot = timed(lambda: evaluate(rotation_loop([1], TREFOIL1, 2), 1, 2), 30.0)
-    scan = timed(lambda: evaluate(scan_path([1], TREFOIL1, 2), 1, 2), 30.0)
+    rot = timed(lambda: evaluate(rotation_loop([1], TREFOIL1, 2), 1), 30.0)
+    scan = timed(lambda: evaluate(scan_path([1], TREFOIL1, 2), 1), 30.0)
     assert rot == scan == -2
 
 
 def test_rotation_and_scan_fig8():
-    rot = timed(lambda: evaluate(rotation_loop([1], FIG8_M1, 2), 1, 2), 30.0)
-    scan = timed(lambda: evaluate(scan_path([1], FIG8_M1, 2), 1, 2), 30.0)
+    rot = timed(lambda: evaluate(rotation_loop([1], FIG8_M1, 2), 1), 30.0)
+    scan = timed(lambda: evaluate(scan_path([1], FIG8_M1, 2), 1), 30.0)
     assert rot == scan == -6
 
 
 # 3 ------------------------------------------------------------------
 
 
-def contributing_rows(movie, a, n):
-    rep = evaluate(movie, a, n, report=True)
+def contributing_rows(movie, a):
+    rep = evaluate(movie, a, report=True)
     return [r for r in rep.rows if r.contrib != 0]
 
 
 def test_per_move_breakdown_trefoil():
-    rows = contributing_rows(push_loop([1], TREFOIL1, 2), 1, 2)
+    rows = contributing_rows(push_loop([1], TREFOIL1, 2), 1)
     assert len(rows) == 1
     r = rows[0]
     assert (r.triple.sign, r.w2p, r.lp, r.w2hm) == (1, 1, 0, 1)
@@ -70,7 +70,7 @@ def test_per_move_breakdown_trefoil():
 
 
 def test_per_move_breakdown_torus25():
-    rows = contributing_rows(push_loop([1], TORUS25_2, 2), 1, 2)
+    rows = contributing_rows(push_loop([1], TORUS25_2, 2), 1)
     assert len(rows) == 2
     data = sorted((r.triple.sign, r.w2p, r.lp) for r in rows)
     assert data == [(1, 3, 0), (1, 5, 1)]
@@ -85,8 +85,8 @@ def test_per_move_breakdown_torus25():
 def test_parameter_dependence_n4():
     t0 = time.monotonic()
     k4 = normalize_w1(LONG_TREFOIL, 1)
-    plus = evaluate_all(push_loop([1, 2, 3], k4, 4), 4)
-    minus = evaluate_all(push_loop([1, -2, 3], k4, 4), 4)
+    plus = evaluate_all(push_loop([1, 2, 3], k4, 4))
+    minus = evaluate_all(push_loop([1, -2, 3], k4, 4))
     assert time.monotonic() - t0 < 120.0
     assert plus[1] == minus[1]
     assert plus[3] == minus[3]
@@ -98,8 +98,8 @@ def test_parameter_dependence_n4():
 
 
 def test_rotation_cancels_full_twist_push():
-    rot = evaluate(rotation_loop([1], TREFOIL1, 2), 1, 2)
-    twist = evaluate(push_full_twist_loop([1], TREFOIL1, 2), 1, 2)
+    rot = evaluate(rotation_loop([1], TREFOIL1, 2), 1)
+    twist = evaluate(push_full_twist_loop([1], TREFOIL1, 2), 1)
     assert rot + twist == 0
     assert twist == 2
 

@@ -34,6 +34,11 @@ def test_parse_rejects_garbage():
         parse_morse("U 2 ; | ; A 2", n=1, w0=1)
 
 
+def test_parse_reads_a_leading_ray_marker_as_the_origin():
+    plain = parse_morse(LONG_TREFOIL, n=1, w0=1)
+    assert parse_morse("| ; " + LONG_TREFOIL, n=1, w0=1).events == plain.events
+
+
 def test_width_must_close_up():
     with pytest.raises(DiagramError):
         parse_morse("U 1 ; U 1", n=1, w0=1).widths()

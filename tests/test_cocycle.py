@@ -17,14 +17,14 @@ def trefoil_push():
 def test_parameter_range_enforced():
     movie = trefoil_push()
     with pytest.raises(CocycleError):
-        evaluate(movie, 0, 2)
+        evaluate(movie, 0)
     with pytest.raises(CocycleError):
-        evaluate(movie, 2, 2)
+        evaluate(movie, 2)
 
 
 def test_report_rows_cover_every_triple_move():
     movie = trefoil_push()
-    rep = evaluate(movie, 1, 2, report=True)
+    rep = evaluate(movie, 1, report=True)
     r3_count = sum(isinstance(m, R3) for m in movie.moves)
     assert len(rep.rows) == r3_count
     assert sum(r.contrib for r in rep.rows) == rep.value
@@ -35,7 +35,7 @@ def test_classification_agrees_with_marks():
     for before, mv, after in movie.steps():
         if not isinstance(mv, R3):
             continue
-        t = classify_r3(before, mv.slot, 2)
+        t = classify_r3(before, mv.slot)
         assert t.sign in (-1, 1)
         assert set(t.marks) == {'d', 'hm', 'ml'}
         assert all(0 <= m <= 2 for m in t.marks.values())
@@ -47,7 +47,7 @@ def test_global_type_r_needs_mark_balance():
     for before, mv, after in movie.steps():
         if not isinstance(mv, R3):
             continue
-        t = classify_r3(before, mv.slot, n)
+        t = classify_r3(before, mv.slot)
         balanced = t.marks['hm'] + t.marks['ml'] - t.marks['d'] == n
         assert (t.global_type == 'r') == balanced
 
@@ -71,7 +71,7 @@ def test_polynomial_text():
 
 def test_evaluate_all_covers_parameters():
     movie = push_loop([1, 2], normalize_w1(LONG_TREFOIL, 1), 3)
-    values = evaluate_all(movie, 3)
+    values = evaluate_all(movie)
     assert sorted(values) == [1, 2]
 
 

@@ -80,14 +80,14 @@ def test_meridian_loop_closes_and_vanishes():
     host, slot = quad_host(GLOBAL_TYPES[3], (1, 0, 0, 1), 2)
     movie = meridian_loop(host, slot)
     assert movie.is_closed()
-    assert all(v == 0 for v in evaluate_all(movie, 2).values())
+    assert all(v == 0 for v in evaluate_all(movie).values())
 
 
 def test_tangency_loop_closes():
     host, slot = tangency_host((1, 2, 3), (0, 0, 2), ('+', '+', '+'), 2)
     movie = tangency_loop(host, slot, '+')
     assert movie.is_closed()
-    assert all(v == 0 for v in evaluate_all(movie, 2).values())
+    assert all(v == 0 for v in evaluate_all(movie).values())
 
 
 def test_embedded_tangency_loops_vanish():
@@ -97,7 +97,7 @@ def test_embedded_tangency_loops_vanish():
     assert loops
     for host, movie in loops:
         assert movie.is_closed()
-        assert all(v == 0 for v in evaluate_all(movie, 2).values())
+        assert all(v == 0 for v in evaluate_all(movie).values())
 
 
 
@@ -132,7 +132,7 @@ def test_commutation_loop_vanishes():
         except Exception:
             continue
         assert movie.is_closed()
-        assert all(v == 0 for v in evaluate_all(movie, 2).values())
+        assert all(v == 0 for v in evaluate_all(movie).values())
         return
     pytest.skip("no commuting far slot for this fixture")
 
@@ -143,7 +143,7 @@ def test_random_contractible_loops_vanish():
     for seed in range(5):
         movie = random_contractible_loop(d, 6, seed)
         assert movie.is_closed()
-        assert all(v == 0 for v in evaluate_all(movie, 2).values())
+        assert all(v == 0 for v in evaluate_all(movie).values())
 
 
 def test_contractible_loop_is_seed_deterministic():

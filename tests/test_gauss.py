@@ -1,11 +1,9 @@
 import pytest
 
-from cocycle_lab.annular import AnnularDiagram, DiagramError
 from cocycle_lab.cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TREFOIL,
                                  LONG_TORUS25, braid_events, closed_cable,
                                  long_events, normalize_w1)
-from cocycle_lab.gauss import (c2k, lift_to_cover, match_n0_pairs, parse_gauss,
-                               v2, w1)
+from cocycle_lab.gauss import c2k, lift_to_cover, match_n0_pairs, v2, w1
 
 
 def closure(text):
@@ -22,13 +20,6 @@ def interleaved(g, cid1, cid2):
     a, b = g.position('h', cid1), g.position('f', cid1)
     return (g.in_open_arc(g.position('h', cid2), a, b)
             != g.in_open_arc(g.position('f', cid2), a, b))
-
-
-def test_parse_roundtrip():
-    g = closure(LONG_TREFOIL)
-    again = parse_gauss(g.text())
-    assert again.canonical_tokens() == g.canonical_tokens()
-    assert again.signs == g.signs
 
 
 def test_homology_class():
@@ -93,15 +84,3 @@ def test_lift_untangles_the_cable():
 def test_lift_preserves_v2_of_companion_pattern():
     g = cable(LONG_TREFOIL, [1], 2)
     assert v2(lift_to_cover(g)) == v2(g)
-
-
-def test_parse_rejects_bad_token_and_bad_sign_line():
-    with pytest.raises(DiagramError) as err:
-        parse_gauss("* h1 x2 f1\nsigns: 1:+")
-    assert err.value.code == 'E_PARSE'
-    with pytest.raises(DiagramError) as err:
-        parse_gauss("* h1 f1\nsigns: 1:+ 2")
-    assert err.value.code == 'E_PARSE'
-    with pytest.raises(DiagramError) as err:
-        parse_gauss("* h1 f1\nsides: 1:+")
-    assert err.value.code == 'E_PARSE'

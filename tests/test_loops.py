@@ -25,8 +25,8 @@ def test_rotation_loop_is_closed():
 
 def test_scan_path_matches_rotation_value():
     n = 2
-    rot = evaluate(rotation_loop([1], TREFOIL1, n), 1, n)
-    scan = evaluate(scan_path([1], TREFOIL1, n), 1, n)
+    rot = evaluate(rotation_loop([1], TREFOIL1, n), 1)
+    scan = evaluate(scan_path([1], TREFOIL1, n), 1)
     assert rot == scan
 
 
@@ -35,8 +35,8 @@ def test_full_twist_loop_is_closed():
 
 
 def test_unknot_loops_vanish():
-    assert evaluate_all(push_loop([1], "", 2), 2) == {1: 0}
-    assert evaluate_all(rotation_loop([1], "", 2), 2) == {1: 0}
+    assert evaluate_all(push_loop([1], "", 2)) == {1: 0}
+    assert evaluate_all(rotation_loop([1], "", 2)) == {1: 0}
 
 
 def test_push_values_do_not_depend_on_parameterisation_details():
@@ -47,8 +47,8 @@ def test_push_values_do_not_depend_on_parameterisation_details():
 
 
 def test_pairing_examples():
-    assert evaluate_all(pairing("", TREFOIL1, 2), 2) == {1: 1}
-    assert evaluate_all(pairing("", "", 2), 2) == {1: 0}
+    assert evaluate_all(pairing("", TREFOIL1, 2)) == {1: 1}
+    assert evaluate_all(pairing("", "", 2)) == {1: 0}
 
 
 def test_pairing_rejects_uncabled_mover():
@@ -59,7 +59,7 @@ def test_pairing_rejects_uncabled_mover():
 def test_three_cable_push_runs():
     movie = push_loop([1, 2], normalize_w1(LONG_TREFOIL, 1), 3)
     assert movie.is_closed()
-    values = evaluate_all(movie, 3)
+    values = evaluate_all(movie)
     assert set(values) == {1, 2}
 
 

@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 from cocycle_lab import moves, verify
 from cocycle_lab.annular import AnnularDiagram, MorseEvent
 from cocycle_lab.cabling import (LONG_MIRROR_TREFOIL, LONG_TREFOIL,
-                                 braid_events, closed_cable, long_events)
+                                 braid_events, closed_cable, long_events,
+                                 normalize_w1)
 from cocycle_lab.gauss import GaussDiagram
 from cocycle_lab.loops import push_loop
 from cocycle_lab.moves import (Movie, MoveError, R1Create, R1Delete, R2Create,
                                R2Delete, R3, RayShift, Rearrange,
-                               canonical_gauss_key, r3_triple, same_gauss)
+                               canonical_gauss_key, r3_triple, same_gauss,
+                               verify_movie)
 
 
 def trefoil_ring():
@@ -78,6 +80,20 @@ def test_ray_shift_roundtrip():
     d2 = RayShift(1).apply(d)
     d3 = RayShift(-1).apply(d2)
     assert d3.events == d.events and d3.w0 == d.w0
+
+
+def test_unknown_kink_variant_and_ray_shift_are_refused_with_a_code():
+    with pytest.raises(MoveError) as err:
+        R1Create(0, 1, '+', 'sideways').apply(trefoil_ring())
+    assert err.value.code == 'E_VARIANT'
+    with pytest.raises(MoveError) as err:
+        RayShift(0).apply(two_cable())
+    assert err.value.code == 'E_RAY'
+    bare = AnnularDiagram(1, [], w0=1)
+    for direction in (1, -1):
+        with pytest.raises(MoveError) as err:
+            RayShift(direction).apply(bare)
+        assert err.value.code == 'E_RAY'
 
 
 def test_rearrange_validates_extensionally():
@@ -240,3 +256,47 @@ def test_same_gauss_compares_the_data_before_the_canonical_key(monkeypatch):
     assert same_gauss(d, shifted) == (key(d.gauss()) == key(shifted.gauss()))
     assert len(calls) == 2
     assert not same_gauss(d, R2Create(0, 1, '+').apply(d))
+
+
+def kinked_ring():
+    """The trefoil ring with four marking-one kinks, each a 'below' kink
+    U 1 ; X- 1 ; A 2; the first sits at slot 5."""
+    return closed_cable([], long_events(normalize_w1(LONG_TREFOIL, 5)), 1)
+
+
+def _verify_code(movie):
+    with pytest.raises(MoveError) as err:
+        verify_movie(movie)
+    return err.value.code
+
+
+def test_verify_movie_refuses_a_state_of_another_class():
+    d = AnnularDiagram(2, long_events(LONG_TREFOIL), w0=1)
+    assert d.gauss().homology_class == 1
+    assert _verify_code(Movie(d)) == 'E_CLASS'
+
+
+def test_verify_movie_refuses_kinks_whose_marking_is_not_zero():
+    # a kink at the origin of the 2-cable winds once around: marking 2
+    cable, kink = two_cable(), R1Create(0, 1, '+')
+    created = Movie(cable, [kink])
+    assert created.final().gauss().marking(kink.created_cid(cable)) == 2
+    assert _verify_code(created) == 'E_KINK'
+    d = kinked_ring()
+    cid = R1Delete(5).check(d)
+    assert d.gauss().marking(cid) == 1
+    assert _verify_code(Movie(d, [R1Delete(5)])) == 'E_KINK'
+
+
+def test_verify_movie_refuses_a_movie_that_does_not_close():
+    assert _verify_code(Movie(two_cable(), [R2Create(0, 1, '+')])) == 'E_CLOSED'
+
+
+def test_reversed_movie_retraces_kink_moves():
+    # an 'above' kink created and deleted, and a 'below' kink deleted
+    d = kinked_ring()
+    movie = Movie(d, [R1Create(0, 1, '-', 'above'), R1Delete(8), R1Delete(0)])
+    back = movie.reversed()
+    assert [type(mv) for mv in back.moves] == [R1Create, R1Create, R1Delete]
+    assert ([(st.events, st.w0) for st in back.states()]
+            == [(st.events, st.w0) for st in movie.states()][::-1])
