@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from cocycle_lab.cabling import LONG_TREFOIL, normalize_w1
-from cocycle_lab.cocycle import (CocycleError, classify_r3, evaluate,
-                                 evaluate_all, interpolation_polynomial,
-                                 polynomial_text)
+from cocycle_lab.cocycle import (CocycleError, TripleData, classify_r3,
+                                 evaluate, evaluate_all,
+                                 interpolation_polynomial, polynomial_text)
 from cocycle_lab.loops import push_loop
-from cocycle_lab.moves import R3
+from cocycle_lab.moves import R3, MoveError
 
 
 def trefoil_push():
@@ -114,14 +114,15 @@ def test_classify_r3_table(word, flags):
     assert got == want
 
 
-def _r3_applies(monkeypatch):
+@pytest.fixture(scope='module')
+def r3_applies():
     """(state before, slot) of every R3 apply in the transport-grid movies
     and in the loops of the tetrahedron, cube and contractible suites."""
     from test_annular import _transport_grid_movies
 
     from cocycle_lab import verify
     movies = _transport_grid_movies()
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, '_check_loop_zero',
                   lambda rep, movie, case: movies.append(movie))
         for suite in ('tetrahedron', 'cube', 'contractible'):
@@ -139,11 +140,11 @@ def _sign_by_interleaving(g, t):
     return 1 if inter in (0, 2) else -1
 
 
-def test_r3_triangle_is_three_adjacent_token_pairs(monkeypatch):
+def test_r3_triangle_is_three_adjacent_token_pairs(r3_applies):
     # each strand meets two of the triangle's crossings back to back, and
     # no ray passage lies inside the pattern
     from cocycle_lab.moves import r3_triple
-    applies = _r3_applies(monkeypatch)
+    applies = r3_applies
     signs = set()
     for state, slot in applies:
         g = state.gauss()
@@ -154,3 +155,67 @@ def test_r3_triangle_is_three_adjacent_token_pairs(monkeypatch):
         assert t.sign == _sign_by_interleaving(g, t), (state.events, slot)
         signs.add(t.sign)
     assert len(applies) > 1000 and signs == {1, -1}
+
+
+def classify_r3_reference(state, slot):
+    """classify_r3 as first written: the roles by set algebra on the
+    strands' crossing pairs, one marking() call per crossing, and the sign
+    by filtering the six ends once per chord pair."""
+    try:
+        trip = R3(slot).check(state)
+    except MoveError as exc:
+        raise CocycleError(str(exc)) from exc
+    g = state.gauss()
+    firsts = sorted(g.position(k, ev.cid) for ev in trip for k in 'hf')[::2]
+    met = [g.tokens[i:i + 2] for i in firsts]
+    score = [(m[0][0] == 'h') + (m[1][0] == 'h') for m in met]
+    hi = {cid for _, cid in met[score.index(2)]}
+    lo = {cid for _, cid in met[score.index(0)]}
+    (d,), (hm,), (ml,) = hi & lo, hi - lo, lo - hi
+
+    marks = {q: g.marking(q) for q in (d, hm, ml)}
+    total = marks[hm] + marks[ml] - marks[d]
+    if total == state.n:
+        gtype = 'r'
+    elif total == 0:
+        gtype = 'l'
+    else:
+        raise CocycleError(f"marking balance {total} fits neither side")
+
+    wd, whm, wml = g.signs[d], g.signs[hm], g.signs[ml]
+    key = ((1 - wd) // 2, (1 - whm) // 2, (1 - wml) // 2)
+    local = 1 + key[0] * 4 + key[1] * 2 + key[2]
+
+    ends = [cid for m in met for _, cid in m]
+    pair_ends = ([e for e in ends if e in xy] for xy in ((d, hm), (d, ml), (hm, ml)))
+    inter = sum(f[0] == f[2] for f in pair_ends)
+    sign = 1 if inter in (0, 2) else -1
+
+    return TripleData(slot=slot, d=d, hm=hm, ml=ml,
+                      marks={'d': marks[d], 'hm': marks[hm], 'ml': marks[ml]},
+                      global_type=gtype, local_type=local, sign=sign,
+                      w_hm=whm)
+
+
+def test_classify_r3_matches_the_reference(r3_applies):
+    seen = set()
+    for state, slot in r3_applies:
+        t = classify_r3(state, slot)
+        assert t == classify_r3_reference(state, slot), (state.events, slot)
+        seen.add((t.global_type, t.local_type, t.sign))
+    # no triangle met here, nor any of R3_TABLE, has local type 4 or 5
+    assert len(r3_applies) > 1000
+    assert [{k[i] for k in seen} for i in range(3)] == [
+        {'r', 'l'}, {1, 2, 3, 6, 7, 8}, {1, -1}]
+
+
+@pytest.mark.parametrize('word,flags', sorted(k for k, v in R3_TABLE.items() if v is None))
+def test_classify_r3_refuses_cyclic_heights_as_the_reference(word, flags):
+    from cocycle_lab.cabling import braid_events, closed_cable
+    braid = [g if f == '+' else -g for g, f in zip(word, flags)] + [word[3]]
+    state = closed_cable(braid_events(braid), [], 3)
+    with pytest.raises(CocycleError) as want:
+        classify_r3_reference(state, 0)
+    with pytest.raises(CocycleError) as got:
+        classify_r3(state, 0)
+    assert str(got.value) == str(want.value)

@@ -13,8 +13,8 @@ import random
 import pytest
 
 from cocycle_lab.cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TORUS25,
-                                 LONG_TREFOIL, LONG_UNKNOT, closed_cable,
-                                 long_events, normalize_w1)
+                                 LONG_TREFOIL, LONG_UNKNOT, braid_events,
+                                 closed_cable, long_events, normalize_w1)
 from cocycle_lab.cocycle import (evaluate_all, interpolation_polynomial,
                                  polynomial_text)
 from cocycle_lab.gauss import v2
@@ -157,3 +157,32 @@ def test_push_values_that_depend_on_a(knot, tangle, n, values, text):
     got = evaluate_all(push_loop(tangle, normalize_w1(knot, 1), n))
     assert got == values
     assert polynomial_text(interpolation_polynomial(got)) == text
+
+
+PER_CROSSING = _connected_tangles(0, per_n=4)
+
+
+@pytest.mark.parametrize('tangle, n', PER_CROSSING,
+                         ids=[f"n{n}:{','.join(map(str, w))}" for w, n in PER_CROSSING])
+def test_push_rows_sum_crossing_by_crossing(tangle, n):
+    # the start of a push loop numbers the tangle's crossings 1..len(T),
+    # and each contributing row is booked to one of them, its ml; the rows
+    # of crossing c sum to sign(c) * [marking(c) = a] * v2(K) * (n*w1 - 1),
+    # with sign and marking read off the tangle's own closure
+    closure = closed_cable(braid_events(tangle), [], n).gauss()
+    marks = closure.markings()
+    assert sorted(closure.signs) == list(range(1, len(tangle) + 1))
+    booked = 0
+    for text, v in zip(KNOTS[1:3], KNOT_V2[1:3]):     # trefoil, fig8
+        for w1 in (-1, 0, 1, 2):
+            movie = push_loop(tangle, normalize_w1(text, w1), n)
+            for a, report in evaluate_all(movie, report=True).items():
+                got = {}
+                for row in report.contributing():
+                    got[row.triple.ml] = got.get(row.triple.ml, 0) + row.contrib
+                want = {c: sign * v * (n * w1 - 1)
+                        for c, sign in closure.signs.items() if marks[c] == a}
+                assert ({c: s for c, s in got.items() if s}
+                        == {c: s for c, s in want.items() if s}), (text, w1, a)
+                booked += any(want.values())
+    assert booked > 0

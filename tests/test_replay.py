@@ -50,6 +50,8 @@ def assert_matches_reference(state, where):
     assert got.tokens == want.tokens, where
     assert got.signs == want.signs, where
     assert got.markings() == want.markings(), where
+    assert all(got.position(k, cid) == want.position(k, cid)
+               for cid in want.signs for k in 'hf'), where
     assert state.widths() == ref.widths(), where
 
 
