@@ -50,16 +50,23 @@ def classify_r3(state, slot):
     except MoveError as exc:
         raise CocycleError(str(exc)) from exc
     g = state.gauss()
-    met = [g.tokens[i:i + 2] for i in r3_token_pairs(g, trip)]
-    # a strand passes over ('h') one crossing per strand below it; R3's
-    # check leaves only totally ordered heights, scored 0, 1 and 2
-    score = [(m[0][0] == 'h') + (m[1][0] == 'h') for m in met]
-    hi = {cid for _, cid in met[score.index(2)]}
-    lo = {cid for _, cid in met[score.index(0)]}
-    (d,), (hm,), (ml,) = hi & lo, hi - lo, lo - hi
+    toks = g.tokens
+    # each strand meets two crossings back to back and passes over ('h')
+    # one per strand below it; R3's check leaves only totally ordered
+    # heights, so one pair is hh (the highest strand) and one ff (the
+    # lowest), and d is the crossing they share
+    pairs = [(toks[i], toks[i + 1]) for i in r3_token_pairs(g, trip)]
+    for (k0, c0), (k1, c1) in pairs:
+        if k0 == k1 == 'h':
+            hi = c0, c1
+        elif k0 == k1:
+            lo = c0, c1
+    d, hm = hi if hi[0] in lo else hi[::-1]
+    ml = lo[1] if lo[0] == d else lo[0]
 
-    marks = {q: g.marking(q) for q in (d, hm, ml)}
-    total = marks[hm] + marks[ml] - marks[d]
+    marks = g.markings()
+    md, mhm, mml = marks[d], marks[hm], marks[ml]
+    total = mhm + mml - md
     if total == state.n:
         gtype = 'r'
     elif total == 0:
@@ -68,18 +75,18 @@ def classify_r3(state, slot):
         raise CocycleError(f"marking balance {total} fits neither side")
 
     wd, whm, wml = g.signs[d], g.signs[hm], g.signs[ml]
-    key = ((1 - wd) // 2, (1 - whm) // 2, (1 - wml) // 2)
-    local = 1 + key[0] * 4 + key[1] * 2 + key[2]
+    local = 1 + (wd < 0) * 4 + (whm < 0) * 2 + (wml < 0)
 
-    # two chords interleave when exactly one end of one lies between the
-    # ends of the other: their four ends, in token order, alternate
-    ends = [cid for m in met for _, cid in m]
-    pair_ends = ([e for e in ends if e in xy] for xy in ((d, hm), (d, ml), (hm, ml)))
-    inter = sum(f[0] == f[2] for f in pair_ends)
-    sign = 1 if inter in (0, 2) else -1
+    # the three pairs hold the six ends in token order, and any two of
+    # the chords have one end in a common pair; they interleave when the
+    # first end of that pair belongs to the chord whose other end comes
+    # in the next pair, cyclically
+    (p0, q0), (p1, q1), (p2, q2) = [(x[1], y[1]) for x, y in pairs]
+    inter = (p0 in (p1, q1)) + (p1 in (p2, q2)) + (p2 in (p0, q0))
+    sign = -1 if inter % 2 else 1
 
     return TripleData(slot=slot, d=d, hm=hm, ml=ml,
-                      marks={'d': marks[d], 'hm': marks[hm], 'ml': marks[ml]},
+                      marks={'d': md, 'hm': mhm, 'ml': mml},
                       global_type=gtype, local_type=local, sign=sign,
                       w_hm=whm)
 

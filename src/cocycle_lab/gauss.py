@@ -27,6 +27,13 @@ def ray_starts(tokens):
     return [i for i, tok in enumerate(tokens) if tok[0] == 'r'] or range(len(tokens))
 
 
+def _ray_count(tokens, start, stop):
+    """Signed count of the ray passages on the cyclic arc start -> stop,
+    the start token included."""
+    arc = tokens[start:stop] if start <= stop else tokens[start:] + tokens[:stop]
+    return arc.count(('r', 1)) - arc.count(('r', -1))
+
+
 @dataclass
 class GaussDiagram:
     """Marked Gauss diagram of a knot in the solid torus.
@@ -37,20 +44,21 @@ class GaussDiagram:
 
     Nothing changes tokens or signs after construction: moves that edit
     the Gauss data build a new diagram, and states whose Gauss data a
-    move keeps share this object.  So the token positions and the
-    markings are computed once per diagram and carry along a movie; an
-    edit that keeps the token count (a triple point move) also shares
-    its parent's markings dict, so a chain of them computes it once.
+    move keeps share this object.  The token positions are indexed at
+    construction, and the markings are computed on first use.  No local
+    move moves a ray passage, so the local edits carry what they can
+    instead: a triple point move (transposed) copies the parent's index
+    and moves six entries of it, and shares the parent's signs and
+    markings; a tangency move (edited) indexes its tokens afresh and
+    copies the parent's markings.  So a chain of local moves runs the
+    markings prefix sum once.
     """
 
     tokens: list
     signs: dict
 
     def __post_init__(self):
-        self._pos = {}
-        for idx, tok in enumerate(self.tokens):
-            if tok[0] in ('h', 'f'):
-                self._pos[(tok[0], tok[1])] = idx
+        self._pos = {tok: idx for idx, tok in enumerate(self.tokens) if tok[0] != 'r'}
         self._marks = None
 
     @property
@@ -81,31 +89,45 @@ class GaussDiagram:
             self._marks = marks
         return self._marks
 
+    def transposed(self, firsts):
+        """The Gauss diagram a triple point move leaves behind: for each
+        index i in firsts, the tokens at i and i + 1 change places.
+
+        Only crossing tokens move, so every crossing keeps its sign and
+        its marking: the new diagram shares the parent's signs and
+        markings dict (computed here if need be), and copies the parent's
+        index with the moved entries updated.
+        """
+        tokens, pos = list(self.tokens), dict(self._pos)
+        for i in firsts:
+            x, y = tokens[i], tokens[i + 1]
+            tokens[i], tokens[i + 1] = y, x
+            pos[x], pos[y] = i + 1, i
+        g = GaussDiagram.__new__(GaussDiagram)
+        g.tokens, g.signs, g._pos = tokens, self.signs, pos
+        g._marks = self.markings()
+        return g
+
     def edited(self, cuts, signs):
-        """The Gauss diagram a local move leaves behind.
+        """The Gauss diagram a tangency move leaves behind.
 
         cuts lists (start, stop, new) in increasing, disjoint index
-        order; tokens[start:stop] is replaced by new.  No local move
-        moves a ray passage: a triple point move reorders the crossing
-        tokens inside each cut, and a tangency move inserts or drops
-        crossing tokens.  So when the token count is kept, no other
-        token moves and no crossing end passes a ray passage: the other
-        positions carry over, and the parent's markings, computed here
-        if need be, are shared with the new diagram.  Otherwise the new
-        diagram is indexed afresh.
+        order; tokens[start:stop] is replaced by new.  A tangency move
+        inserts or drops crossing tokens and moves no ray passage, so
+        every crossing that stays keeps its marking: the parent's
+        markings (computed here if need be) are copied, and a new
+        crossing's marking is read off the ray passages on the arc from
+        its overpass to its underpass.  The token positions are indexed
+        afresh.
         """
         tokens = list(self.tokens)
         for start, stop, new in reversed(cuts):
             tokens[start:stop] = new
-        if len(tokens) != len(self.tokens):
-            return GaussDiagram(tokens, signs)
-        g = GaussDiagram.__new__(GaussDiagram)
-        g.tokens, g.signs = tokens, signs
-        g._pos = dict(self._pos)
-        for start, stop, _ in cuts:
-            for idx in range(start, stop):
-                g._pos[tokens[idx]] = idx
-        g._marks = self.markings()
+        g = GaussDiagram(tokens, signs)
+        old, pos = self.markings(), g._pos
+        g._marks = {cid: old[cid] if cid in old
+                    else _ray_count(tokens, pos[('h', cid)], pos[('f', cid)])
+                    for cid in signs}
         return g
 
     def in_open_arc(self, idx, start, stop):

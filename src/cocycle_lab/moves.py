@@ -124,7 +124,10 @@ class R2Create(Move):
     over_first is '+'.  So the Gauss data changes by a pair of tokens
     inserted where each strand crosses the slot (annular.token_gap), in
     word order or reversed with the strand's direction, and the two
-    crossings get opposite signs.  Where the tokens do not decide the
+    crossings get opposite signs.  The new diagram (GaussDiagram.edited)
+    indexes its tokens afresh and keeps the parent's markings, since no
+    ray passage moves; only the two new crossings are read off the ray
+    passages between their ends.  Where the tokens do not decide the
     gaps, or both strands sit in one gap, the word is built in full.
     """
 
@@ -190,7 +193,8 @@ class R2Delete(Move):
 
     Removing a bigon cannot disconnect the knot: the Gauss data loses
     the four tokens and the two signs of the pair, and nothing else
-    changes.
+    changes.  The new diagram (GaussDiagram.edited) indexes the tokens
+    left afresh, and every other crossing keeps its sign and marking.
     """
 
     slot: int
@@ -235,7 +239,10 @@ def r3_token_pairs(g, trip):
     pattern.  Each strand meets two of its crossings back to back, and no
     ray passage (the token list starts on one) lies inside the pattern,
     so the six tokens' sorted positions form three adjacent pairs."""
-    return sorted(g.position(k, ev.cid) for ev in trip for k in 'hf')[::2]
+    pos = g._pos
+    a, b, c = trip[0].cid, trip[1].cid, trip[2].cid
+    return sorted((pos[('h', a)], pos[('f', a)], pos[('h', b)],
+                   pos[('f', b)], pos[('h', c)], pos[('f', c)]))[::2]
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,9 @@ class R3(Move):
     Each strand then meets its two crossings of the triangle in the
     opposite order and with the same token kinds, so the Gauss data
     changes by three transpositions of adjacent tokens, at the pairs
-    r3_token_pairs finds.
+    r3_token_pairs finds (GaussDiagram.transposed): the token list and
+    the index are copied and six entries move, and the signs and the
+    markings are the parent's.
     """
 
     slot: int
@@ -269,8 +278,8 @@ class R3(Move):
             MorseEvent('X', a.pos, b.over, b.cid),
             MorseEvent('X', b.pos, a.over, a.cid)]
         g = diagram.gauss()
-        cuts = [(i, i + 2, g.tokens[i:i + 2][::-1]) for i in r3_token_pairs(g, trip)]
-        return AnnularDiagram._derive(diagram, evs, g.edited(cuts, g.signs))
+        return AnnularDiagram._derive(diagram, evs,
+                                      g.transposed(r3_token_pairs(g, trip)))
 
 
 @dataclass(frozen=True)
