@@ -13,12 +13,28 @@ from cocycle_lab.loops import (push_full_twist_loop, push_loop, rotation_loop,
 
 
 def test_event_validation():
-    with pytest.raises(DiagramError):
-        MorseEvent('Z', 1)
-    with pytest.raises(DiagramError):
-        MorseEvent('X', 0, '+')
-    with pytest.raises(DiagramError):
-        MorseEvent('X', 1)          # missing over flag
+    bad = [(('Z', 1), 'E_KIND', "unknown event kind 'Z'"),
+           (('X', 0, '+'), 'E_POS', "position 0 out of range"),
+           (('X', 1), 'E_OVER', "crossing needs over flag, got ''")]
+    for args, code, message in bad:
+        with pytest.raises(DiagramError) as exc:
+            MorseEvent(*args)
+        assert exc.value.code == code
+        assert str(exc.value) == f"{code}: {message}"
+
+    # an event is an immutable value: equal fields, equal events and keys
+    ev = MorseEvent('X', 2, '-', 7)
+    for field in ('kind', 'pos', 'over', 'cid'):
+        with pytest.raises(AttributeError):
+            setattr(ev, field, getattr(ev, field))
+    assert ev.pos == 2
+    twin = MorseEvent('X', 2, '-', 7)
+    assert twin is not ev and twin == ev and hash(twin) == hash(ev)
+    assert {ev: 'found'}[twin] == 'found'
+    assert ev != MorseEvent('X', 2, '-', 8) and ev != MorseEvent('X', 2, '+', 7)
+    # the full-build, cube and CLI digests hash this text
+    assert repr(ev) == "MorseEvent(kind='X', pos=2, over='-', cid=7)"
+    assert repr(MorseEvent('U', 1)) == "MorseEvent(kind='U', pos=1, over='', cid=-1)"
 
 
 def test_parse_format_roundtrip():
