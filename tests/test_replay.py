@@ -110,10 +110,30 @@ def _validations(monkeypatch, movie):
     return calls['validate']
 
 
-def test_replay_validates_only_start_and_ray_shifts(monkeypatch):
-    movie = push_loop([1, 2], TREFOIL1, 3)
-    shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
-    assert shifts > 0 and _validations(monkeypatch, movie) == 1 + shifts
+def _scan_variant_movies():
+    """The scans of the scan-invariance suite's 60 semi-regular variants."""
+    return [scan_path(*verify.semi_regular_variant(tangle, text, seed * 31 + 7), n)
+            for _, tangle, text, n in verify.CABLE_FIXTURES[:3]
+            for seed in range(20)]
+
+
+def _transport_grid():
+    from test_annular import _transport_grid_movies
+    return _transport_grid_movies()
+
+
+@pytest.mark.parametrize("movies", [_transport_grid, _scan_variant_movies],
+                         ids=["transport-grid", "scan-variants"])
+def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies):
+    # a planner Rearrange whose window check wrongly fails still replays
+    # to the same states, through the full build; only this count shows it
+    movies = movies()
+    assert len(movies) in (12, 60)
+    for movie in movies:
+        shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
+        assert _validations(monkeypatch, movie) == 1 + shifts
+        monkeypatch.undo()
+    assert any(isinstance(mv, Rearrange) for movie in movies for mv in movie.moves)
 
 
 def _first_loop(candidates):
