@@ -19,37 +19,74 @@ backward strands over the ray without corrupting any marking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
 
 from .gauss import DiagramError, GaussDiagram
 
+# strand count change across an event of each kind
+_DELTA = {'U': 2, 'A': -2, 'X': 0}
 
-@dataclass(frozen=True)
+
 class MorseEvent:
-    """One elementary event of a Morse word."""
+    """One elementary event of a Morse word: an immutable value.
 
-    kind: str          # 'U', 'A' or 'X'
-    pos: int           # 1-based strand position
-    over: str = ''     # for 'X': '+' ascending strand over, '-' under
-    cid: int = -1      # persistent crossing id, -1 for cups/caps
+    kind is 'U', 'A' or 'X'; pos the 1-based strand position; over, for
+    'X', '+' when the ascending strand passes over and '-' when under;
+    cid the persistent crossing id, -1 for cups and caps.  Events are
+    equal and hash alike when all four fields are equal.  The record is
+    slotted and its fields are set once, through the slot descriptors,
+    in the validating constructor; assigning to one raises
+    AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ('U', 'A', 'X'):
-            raise DiagramError('E_KIND', f"unknown event kind {self.kind!r}")
-        if self.pos < 1:
-            raise DiagramError('E_POS', f"position {self.pos} out of range")
-        if self.kind == 'X' and self.over not in ('+', '-'):
-            raise DiagramError('E_OVER', f"crossing needs over flag, got {self.over!r}")
+    __slots__ = ('kind', 'pos', 'over', 'cid')
+
+    def __init__(self, kind, pos, over='', cid=-1):
+        if kind not in ('U', 'A', 'X'):
+            raise DiagramError('E_KIND', f"unknown event kind {kind!r}")
+        if pos < 1:
+            raise DiagramError('E_POS', f"position {pos} out of range")
+        if kind == 'X' and over not in ('+', '-'):
+            raise DiagramError('E_OVER', f"crossing needs over flag, got {over!r}")
+        _set_kind(self, kind)
+        _set_pos(self, pos)
+        _set_over(self, over)
+        _set_cid(self, cid)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an event")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an event")
+
+    def __eq__(self, other):
+        if other.__class__ is not MorseEvent:
+            return NotImplemented
+        return (self.kind == other.kind and self.pos == other.pos
+                and self.over == other.over and self.cid == other.cid)
+
+    def __hash__(self):
+        return hash((self.kind, self.pos, self.over, self.cid))
+
+    def __repr__(self):
+        return (f"MorseEvent(kind={self.kind!r}, pos={self.pos!r}, "
+                f"over={self.over!r}, cid={self.cid!r})")
+
+    def __reduce__(self):
+        return MorseEvent, (self.kind, self.pos, self.over, self.cid)
 
     @property
     def delta(self):
-        return {'U': 2, 'A': -2, 'X': 0}[self.kind]
+        return _DELTA[self.kind]
 
     def text(self):
         if self.kind == 'X':
             return f"X{self.over} {self.pos}"
         return f"{self.kind} {self.pos}"
+
+
+_set_kind, _set_pos, _set_over, _set_cid = (
+    MorseEvent.__dict__[name].__set__ for name in MorseEvent.__slots__)
 
 
 _EVENT_RE = re.compile(r'^(U|A|X\+|X-)\s+(\d+)$')
@@ -146,19 +183,28 @@ def window_strands(events, widths):
     and glues the pieces across the ray (AnnularDiagram._traverse).
     """
     # segment s has ends 2s, 2s + 1 (left, right); link[end]: its mate or port
-    at = list(range(widths[0]))
+    w = widths[0]
+    at = list(range(w))
     toks = [[] for _ in at]
-    link = [v for p in range(1, widths[0] + 1) for v in ((0, p), None)]
+    link = [v for p in range(1, w + 1) for v in ((0, p), None)]
     crossings = []
     for ev in events:
         i = ev.pos - 1
-        if ev.kind == 'X':
+        kind = ev.kind
+        if kind == 'X':
             a, b = at[i], at[i + 1]
-            toks[a].append((_token_kind(ev, 1), ev.cid))
-            toks[b].append((_token_kind(ev, 2), ev.cid))
-            crossings.append((ev.cid, 1 if ev.over == '+' else -1, a, b))
+            cid = ev.cid
+            # line 1, the strand ascending from i to i + 1, is segment a
+            if ev.over == '+':
+                toks[a].append(('h', cid))
+                toks[b].append(('f', cid))
+                crossings.append((cid, 1, a, b))
+            else:
+                toks[a].append(('f', cid))
+                toks[b].append(('h', cid))
+                crossings.append((cid, -1, a, b))
             at[i], at[i + 1] = b, a
-        elif ev.kind == 'U':
+        elif kind == 'U':
             s = len(toks)
             toks += [], []
             link += [2 * s + 2, None, 2 * s, None]
@@ -167,22 +213,40 @@ def window_strands(events, widths):
             a, b = at[i], at[i + 1]
             link[2 * a + 1], link[2 * b + 1] = 2 * b + 1, 2 * a + 1
             del at[i:i + 2]
+    # a piece starts at the end its port is linked to: the left end of
+    # segment p - 1 for left port p, the right end of at[p - 1] for right
+    # port p
+    ends = list(range(0, 2 * w, 2))
     for p, s in enumerate(at, 1):
         link[2 * s + 1] = (1, p)
-    pieces, way = {}, {}
-    starts = [((0, p), 2 * p - 2) for p in range(1, widths[0] + 1)]
-    starts += [((1, p), 2 * s + 1) for p, s in enumerate(at, 1)]
-    for start, end in starts:
-        if end >> 1 in way:         # the piece was read from its other port
+        ends.append(2 * s + 1)
+    # way[s]: +1 or -1 once segment s is read forward or backward
+    pieces, way, read = {}, [0] * len(toks), 0
+    for end in ends:
+        s = end >> 1
+        if way[s]:                  # the piece was read from its other port
             continue
-        tokens = []
+        # each segment is read once: the piece's first one collects it
+        start, tokens = link[end], toks[s]
+        if end & 1:
+            way[s] = -1
+            tokens.reverse()
+        else:
+            way[s] = 1
+        read += 1
+        end = link[end ^ 1]
         while type(end) is int:
-            s, backward = divmod(end, 2)
-            way[s] = -1 if backward else 1
-            tokens += reversed(toks[s]) if backward else toks[s]
+            s = end >> 1
+            if end & 1:
+                way[s] = -1
+                tokens += reversed(toks[s])
+            else:
+                way[s] = 1
+                tokens += toks[s]
+            read += 1
             end = link[end ^ 1]
         pieces[start] = (end, tuple(tokens))
-    if len(way) != len(toks):
+    if read != len(toks):
         return None
     return pieces, {cid: o * way[a] * way[b] for cid, o, a, b in crossings}
 
