@@ -106,10 +106,16 @@ LONG_MIRROR_TREFOIL = "U 2 ; X- 1 ; X- 1 ; X- 1 ; A 2"
 LONG_FIG8_W1 = LONG_FIG8 + " ; U 2 ; X+ 2 ; A 1"
 
 
+def long_w1(text):
+    """The degree-one invariant (the framing) of a long knot word."""
+    return w1(AnnularDiagram(1, long_events(text), w0=1).gauss())
+
+
 def normalize_w1(text, target):
     """Append marking-1 kinks to a long knot word until its degree-one
-    invariant hits the target framing."""
-    cur = w1(AnnularDiagram(1, long_events(text), w0=1).gauss())
+    invariant hits the target framing: one kink crossing per unit of
+    |long_w1(text) - target|."""
+    cur = long_w1(text)
     neg = "U 2 ; X+ 2 ; A 1"   # negative kink of marking one
     pos = "U 1 ; X- 1 ; A 2"   # positive kink of marking one
     piece = neg if cur > target else pos

@@ -16,7 +16,8 @@ import sys
 
 from . import cabling, oracle, verify
 from .annular import AnnularDiagram, DiagramError, format_morse
-from .cabling import braid_events, closed_cable, long_events, normalize_w1
+from .cabling import (braid_events, closed_cable, long_events, long_w1,
+                      normalize_w1)
 from .cocycle import (evaluate, evaluate_all, interpolation_polynomial,
                       polynomial_text)
 from .discriminant import (GLOBAL_TYPES, HostError, meridian_loop, quad_host,
@@ -34,6 +35,19 @@ BUILTIN_KNOTS = {
     'torus25': cabling.LONG_TORUS25,
     'torus27': cabling.LONG_TORUS27,
 }
+
+
+# The most crossings a start diagram of `loops`, `eval` or `pairing` may
+# have.  A movie records every state, and each state keeps its own event
+# list, token list and index, so a loop's memory grows with its moves
+# times its word length, about as the square of the start's crossings.
+# Peak memory of `eval --push ... --a 1` (Python 3.11, x86-64):
+#   torus27 w1=2 n=8 (519 crossings)      86 MB
+#   trefoil w1=1 n=18 (989 crossings)    436 MB
+#   trefoil w1=200 n=2 (809 crossings)   130 MB
+#   trefoil w1=500 n=2 (2,009 crossings) 644 MB
+#   trefoil w1=800 n=2 (3,209 crossings) 1.8 GB
+MAX_START_CROSSINGS = 1000
 
 
 class UsageError(ValueError):
@@ -80,9 +94,26 @@ def _tangle_word(text):
     return word
 
 
-def _framed(spec, target_w1):
+def _check_start(crossings):
+    if crossings > MAX_START_CROSSINGS:
+        raise UsageError(f"E_ARGS: the start diagram has {crossings} crossings; "
+                         f"loops are built from at most {MAX_START_CROSSINGS}")
+
+
+def _framed(spec, target_w1, start=None):
+    """The knot's Morse text, framed to target_w1 when one is given.
+
+    start=(n, extra) first checks the start diagram [extra crossings]
+    [n-cable of the framed knot] against MAX_START_CROSSINGS, before the
+    framing kinks are written: each crossing of the framed word becomes
+    n * n, and the text of each crossing event holds one 'X'.
+    """
     text = _knot_text(spec)
-    if target_w1 is not None:
+    kinks = 0 if target_w1 is None else abs(long_w1(text) - target_w1)
+    if start is not None:
+        n, extra = start
+        _check_start(extra + n * n * (text.count('X') + kinks))
+    if kinks:
         text = normalize_w1(text, target_w1)
     return text
 
@@ -175,7 +206,9 @@ def _loop_movie(args):
     if args.knot is None:
         raise UsageError("--knot is required for push/rot/scan loops")
     tangle = _tangle_word(args.tangle or '')
-    knot = _framed(args.knot, args.w1)
+    # all but the push loop start with the full twist after the cable
+    twist = 0 if args.push else args.n * (args.n - 1)
+    knot = _framed(args.knot, args.w1, start=(args.n, len(tangle) + twist))
     if args.push:
         return push_loop(tangle, knot, args.n)
     if args.rot:
@@ -209,11 +242,13 @@ def _cmd_loops(args):
     if args.meridian is not None:
         windings = tuple(args.windings or (0, 0, 0, args.n))
         host, slot = quad_host(GLOBAL_TYPES[args.meridian], windings, args.n)
+        _check_start(len(host.gauss().signs))
         movie = meridian_loop(host, slot)
     elif args.cube:
         windings = tuple(args.windings or (0, 0, args.n))
         host, slot = tangency_host(tuple(args.order), windings,
                                    tuple(args.flags), args.n)
+        _check_start(len(host.gauss().signs))
         movie = tangency_loop(host, slot, args.flags[0])
     else:
         movie = _loop_movie(args)
@@ -237,8 +272,10 @@ def _cmd_eval(args):
 
 
 def _cmd_pairing(args):
-    movie = pairing(_knot_text(args.left), _framed(args.right, args.w1),
-                    args.n)
+    left = _knot_text(args.left)
+    # the mover is the permutation braid sigma_1 ... sigma_{n-1}
+    right = _framed(args.right, args.w1, start=(args.n, args.n - 1))
+    movie = pairing(left, right, args.n)
     _emit(_report_payload(movie, explain=args.explain), args.out)
     return 0
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cocycle_lab import cli
 from cocycle_lab.cli import build_parser, run
 
 
@@ -353,3 +354,91 @@ def test_command_outputs_are_pinned(capsys):
     assert len(lines) == 25
     assert digest.hexdigest() == (
         '02ac88994cd3064df0e60d7d72a03488942c44b79a1f88cff694ae0f9167c354')
+
+
+# -- the start diagram's size -------------------------------------------
+
+MAX_START = cli.MAX_START_CROSSINGS
+TWIST_LOOPS = ('--rot', '--scan', '--full-twist')
+
+
+def _kinked(c):
+    """A long unknot word with c kink crossings, as literal Morse text."""
+    return ' ; '.join(['U 1 ; X- 1 ; A 2'] * c)
+
+
+def _loop_argv(command, flag, crossings):
+    """A class-2 loop whose start diagram has the given number of
+    crossings: a tangle of s1s, the full twist (two crossings) unless it
+    is a push loop, and four per crossing of the knot."""
+    extra = 0 if flag == '--push' else 2
+    c = (crossings - extra - 1) // 4
+    tangle = ','.join(['s1'] * (crossings - extra - 4 * c))
+    return [command, flag, '--tangle', tangle, '--knot', _kinked(c), '--n', '2']
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Planners and the framing kinks fail if an input reaches them."""
+    def reached(*args):
+        raise AssertionError('the loop was built')
+
+    for name in ('push_loop', 'rotation_loop', 'scan_path',
+                 'push_full_twist_loop', 'pairing', 'normalize_w1',
+                 'meridian_loop', 'tangency_loop'):
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize('flag', ('--push',) + TWIST_LOOPS)
+@pytest.mark.parametrize('command', ['loops', 'eval'])
+def test_oversized_start_is_refused_before_the_loop_is_built(
+        nothing_built, capsys, command, flag):
+    assert run(_loop_argv(command, flag, MAX_START + 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == (
+        f'cocycle-lab: E_ARGS: the start diagram has {MAX_START + 1} crossings; '
+        f'loops are built from at most {MAX_START}\n')
+    # one crossing fewer is built
+    with pytest.raises(AssertionError, match='the loop was built'):
+        run(_loop_argv(command, flag, MAX_START))
+
+
+@pytest.mark.parametrize('argv', [
+    # framed far past the bound: refused before the kinks are written
+    ['eval', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',
+     '--w1', str(10 ** 12), '--a', '1'],
+    ['pairing', '--left', 'unknot', '--right', 'trefoil', '--n', '2',
+     '--w1', str(MAX_START)],
+    ['pairing', '--left', 'unknot', '--right', _kinked(-(-MAX_START // 4)),
+     '--n', '2'],
+    ['loops', '--meridian', '1', '--n', str(MAX_START)],
+    ['loops', '--cube', '--n', str(MAX_START)],
+])
+def test_oversized_pairing_framing_and_hosts_are_refused(nothing_built, capsys,
+                                                         argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        'cocycle-lab: E_ARGS: the start diagram has ')
+
+
+@pytest.mark.parametrize('argv', [
+    ['eval', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '2', '--w1', '1'],
+    ['eval', '--push', '--tangle', 's1,s2', '--knot', 'torus27', '--n', '3', '--w1', '2'],
+    ['eval', '--rot', '--tangle', 's1', '--knot', 'trefoil', '--n', '2', '--w1', '1'],
+    ['eval', '--scan', '--tangle', 's1', '--knot', 'fig8', '--n', '2', '--w1', '-1'],
+    ['loops', '--full-twist', '--tangle', 's1', '--knot', 'trefoil', '--n', '2', '--w1', '1'],
+    ['pairing', '--left', 'unknot', '--right', 'torus25', '--n', '2', '--w1', '2'],
+])
+def test_counted_crossings_are_the_start_diagrams(monkeypatch, capsys, argv):
+    counted, starts = [], []
+    monkeypatch.setattr(cli, '_check_start', counted.append)
+    for name in ('push_loop', 'rotation_loop', 'scan_path',
+                 'push_full_twist_loop', 'pairing'):
+        def recorded(*args, planner=getattr(cli, name)):
+            movie = planner(*args)
+            starts.append(movie.start)
+            return movie
+        monkeypatch.setattr(cli, name, recorded)
+    assert run(argv) == 0
+    assert counted == [len(starts[0].gauss().signs)]
