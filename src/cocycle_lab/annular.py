@@ -28,20 +28,15 @@ _DELTA = {'U': 2, 'A': -2, 'X': 0}
 
 
 class MorseEvent:
-    """One elementary event of a Morse word: an immutable value.
-
-    kind is 'U', 'A' or 'X'; pos the 1-based strand position; over, for
-    'X', '+' when the ascending strand passes over and '-' when under;
-    cid the persistent crossing id, -1 for cups and caps.  Events are
-    equal and hash alike when all four fields are equal.  The record is
-    slotted and its fields are set once, through the slot descriptors,
-    in the validating constructor; assigning to one raises
-    AttributeError.
-    """
+    """One elementary event of a Morse word: an immutable value, equal
+    to and hashed as any event with the same four fields.  The validating
+    constructor sets them once through the slot descriptors."""
 
     __slots__ = ('kind', 'pos', 'over', 'cid')
 
     def __init__(self, kind, pos, over='', cid=-1):
+        # kind 'U', 'A' or 'X'; pos 1-based; over, for 'X', '+' when the
+        # ascending strand passes over, '-' under; cid -1 for cups/caps
         if kind not in ('U', 'A', 'X'):
             raise DiagramError('E_KIND', f"unknown event kind {kind!r}")
         if pos < 1:
@@ -53,11 +48,10 @@ class MorseEvent:
         _set_over(self, over)
         _set_cid(self, cid)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an event")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MorseEvent is immutable: cannot change {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an event")
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not MorseEvent:
@@ -226,7 +220,8 @@ def window_strands(events, widths):
         s = end >> 1
         if way[s]:                  # the piece was read from its other port
             continue
-        # each segment is read once: the piece's first one collects it
+        # every segment is read once, so the piece's first segment's list
+        # can collect the piece's tokens
         start, tokens = link[end], toks[s]
         if end & 1:
             way[s] = -1

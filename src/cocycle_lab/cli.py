@@ -38,15 +38,11 @@ BUILTIN_KNOTS = {
 
 
 # The most crossings a start diagram of `loops`, `eval` or `pairing` may
-# have.  A movie records every state, and each state keeps its own event
-# list, token list and index, so a loop's memory grows with its moves
-# times its word length, about as the square of the start's crossings.
-# Peak memory of `eval --push ... --a 1` (Python 3.11, x86-64):
-#   torus27 w1=2 n=8 (519 crossings)      86 MB
-#   trefoil w1=1 n=18 (989 crossings)    436 MB
-#   trefoil w1=200 n=2 (809 crossings)   130 MB
-#   trefoil w1=500 n=2 (2,009 crossings) 644 MB
-#   trefoil w1=800 n=2 (3,209 crossings) 1.8 GB
+# have.  A movie keeps every state, so its memory grows with its moves
+# times its word length, about as the square of the crossings.  Peak
+# memory of `eval --push ... --a 1` (Python 3.11, x86-64): 86 MB for
+# torus27 w1=2 n=8 (519 crossings), 436 MB for trefoil w1=1 n=18 (989),
+# 644 MB for trefoil w1=500 n=2 (2,009), 1.8 GB for w1=800 n=2 (3,209).
 MAX_START_CROSSINGS = 1000
 
 
