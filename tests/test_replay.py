@@ -122,13 +122,14 @@ def _transport_grid():
     return _transport_grid_movies()
 
 
-@pytest.mark.parametrize("movies", [_transport_grid, _scan_variant_movies],
+@pytest.mark.parametrize("movies, count", [(_transport_grid, 12),
+                                           (_scan_variant_movies, 60)],
                          ids=["transport-grid", "scan-variants"])
-def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies):
+def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies, count):
     # a planner Rearrange whose window check wrongly fails still replays
     # to the same states, through the full build; only this count shows it
     movies = movies()
-    assert len(movies) in (12, 60)
+    assert len(movies) == count
     for movie in movies:
         shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
         assert _validations(monkeypatch, movie) == 1 + shifts
