@@ -228,8 +228,9 @@ def _add_loop_flags(p):
 
 
 def _cmd_cable(args):
-    d = closed_cable(braid_events(_tangle_word(args.tangle or '')),
-                     long_events(_framed(args.knot, args.w1)), args.n)
+    tangle = _tangle_word(args.tangle or '')
+    d = closed_cable(braid_events(tangle), long_events(
+        _framed(args.knot, args.w1, start=(args.n, len(tangle)))), args.n)
     _emit(_diagram_payload(d), args.out)
     return 0
 
@@ -320,8 +321,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_invariant(args):
-    d = closed_cable(braid_events(_tangle_word(args.tangle or '')),
-                     long_events(_framed(args.knot, args.w1)), args.n)
+    tangle = _tangle_word(args.tangle or '')
+    d = closed_cable(braid_events(tangle), long_events(
+        _framed(args.knot, args.w1, start=(args.n, len(tangle)))), args.n)
     g = d.gauss()
     if args.what == 'v2':
         print(v2(g))

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annular import AnnularDiagram, MorseEvent, strand_step
-from .cabling import (braid_events, bundle_swap_rows, closed_cable, full_twist_word,
-                      long_events, n_cable, renumber)
+from .cabling import (braid_events, closed_cable, full_twist_word, long_events,
+                      n_cable, renumber)
 from .moves import Exchange, Movie, R3, RayShift, Rearrange
 
 
@@ -133,8 +133,10 @@ class _Transport:
         def adj(p):
             return p + shift if p >= cut else p
 
-        self._rewrite_pair([MorseEvent(e.kind, adj(e.pos), e.over, e.cid)
-                            for e in self.mover_events()], swap=True)
+        mov = self.mover_events()
+        if shift:
+            mov = [MorseEvent(e.kind, adj(e.pos), e.over, e.cid) for e in mov]
+        self._rewrite_pair(mov, swap=True)
         self.b = adj(self.b)
 
     def turn(self):
@@ -193,30 +195,24 @@ class _Transport:
             raise PlannerError("threading overshot the block")
 
     def _refactor_block(self, ui, style):
+        """Reorder the block's own events row by row ('rows') or run by
+        run ('runs').  The block carries bundle A, n strands from q up,
+        across bundle B, the next n; the crossing of A's r-th strand with
+        B's k-th sits at q + r + k - 2 in any order of the block, so only
+        the order changes: (row, column) = (n - r, k - 1) for 'rows',
+        (column, row) for 'runs'."""
         v = self.units[ui]
         n, q = self.n, v.q
         s = self.slot_of(ui)
-        evs = list(self.movie.final().events[s:s + v.length])
-        labels = {q + k: ('A', k + 1) for k in range(n)}
-        labels.update({q + n + k: ('B', k + 1) for k in range(n)})
-        pair_cid = {}
-        over = evs[0].over
+        evs = self.movie.final().events[s:s + v.length]
+        at = list(range(2 * n))     # strand labels: A from 0, B from n
+        out = [None] * len(evs)
         for e in evs:
-            a, b = labels[e.pos], labels[e.pos + 1]
-            pair_cid[frozenset((a, b))] = e.cid
-            labels[e.pos], labels[e.pos + 1] = b, a
-            over = e.over
-        out = []
-        if style == 'rows':
-            for r, row in zip(range(n, 0, -1), bundle_swap_rows(q, n)):
-                for k, pos in enumerate(row):
-                    cid = pair_cid[frozenset((('A', r), ('B', k + 1)))]
-                    out.append(MorseEvent('X', pos, over, cid))
-        else:
-            for j in range(1, n + 1):
-                for step, pos in enumerate(range(q + n + j - 2, q + j - 2, -1)):
-                    cid = pair_cid[frozenset((('B', j), ('A', n - step)))]
-                    out.append(MorseEvent('X', pos, over, cid))
+            i = e.pos - q
+            a, b = at[i], at[i + 1]
+            at[i], at[i + 1] = b, a
+            row, col = n - 1 - a, b - n
+            out[row * n + col if style == 'rows' else col * n + row] = e
         if out != evs:
             self.movie.append(Rearrange(s, v.length, tuple(out)))
 
@@ -290,38 +286,45 @@ def _twist_transport(tangle_word, long_text, n, d):
     return levs, _Transport(start, units, d)
 
 
+def _check_resplit(tangle_word, n):
+    """Refuse a twist loop whose full twist cannot pass the closing
+    tangle by resplitting their word (_relabel_through_tangle): both
+    must be powers of one generator with one sign.  Every move of the
+    transport keeps each crossing's flag, and the twist meets the tangle
+    on the positions it starts on, so the start decides it, before any
+    move is made."""
+    if len({*tangle_word, *full_twist_word(n)}) != 1:
+        raise PlannerError("tangle does not absorb the twist by resplitting")
+
+
 def _relabel_through_tangle(tr):
     """Slide the full twist across the closing tangle without moves.
 
     Works when tangle and twist concatenate to a power of the same
-    generator block, so the word admits the shifted split.
+    generator block (_check_resplit), so the word admits the shifted
+    split.
     """
     ti = tr.mi + tr.d
     tu = tr.units[ti]
     if tu.kind != 'tangle':
         raise PlannerError("twist is not facing the tangle")
-    s = min(tr.slot_of(tr.mi), tr.slot_of(ti))
-    k = tu.length + tr.mover().length
-    pair = tr.movie.final().events[s:s + k]
-    if len({(e.kind, e.pos, e.over) for e in pair}) != 1:
-        raise PlannerError("tangle does not absorb the twist by resplitting")
     tr.units[ti] = _Unit('mover', -1, tr.mover().length, tu.q)
     tr.units[tr.mi] = _Unit('tangle', -1, tu.length, tu.q)
     tr.mi = ti
 
 
-def _scan(tangle_word, long_text, n):
-    """The full twist swept leftward through the cable, up to the tangle."""
-    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
+def _scan(levs, tr):
+    """Sweep the full twist leftward through the cable, up to the tangle."""
     tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
-    return tr
 
 
 def rotation_loop(tangle_word, long_text, n):
     """Rotation of the solid torus around its core, as a loop of
     diagrams: the full twist representing the framing curl slides once
     around the satellite against the orientation of the core."""
-    tr = _scan(tangle_word, long_text, n)
+    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
+    _check_resplit(tangle_word, n)
+    _scan(levs, tr)
     _relabel_through_tangle(tr)
     tr.ray_pass()
     return tr.movie
@@ -331,6 +334,7 @@ def push_full_twist_loop(tangle_word, long_text, n):
     """The inverse rotation: the full twist is pushed once around along
     the core orientation."""
     levs, tr = _twist_transport(tangle_word, long_text, n, 1)
+    _check_resplit(tangle_word, n)
     tr.ray_pass()
     _relabel_through_tangle(tr)
     # facing the cable now, still moving rightward
@@ -360,4 +364,6 @@ def scan_path(tangle_word, long_text, n):
     """The open half of the rotation loop: the full twist sweeps through
     the cable from its far end back to the tangle, without crossing the
     ray.  Not closed; its value already equals the rotation value."""
-    return _scan(tangle_word, long_text, n).movie
+    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
+    _scan(levs, tr)
+    return tr.movie

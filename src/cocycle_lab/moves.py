@@ -23,13 +23,18 @@ r3_triple), which random walks call too, before building a move.
 Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
 R2Delete and a Rearrange that passes its window check) build the state
 they leave behind from their parent's without walking the whole diagram
-again.  Kinks, ray shifts, a Rearrange that fails its window check and
-an R2Create whose token gaps the walk cannot decide build and validate
-their result in full.
+again.  A Rearrange whose old and new windows hold crossings only passes
+when the two differ by far commutations, that is when, for every
+position i, the crossings at i and i + 1 appear as the same sequence of
+events in both; a window with a cup or a cap is compared by one sweep of
+each (annular.window_strands).  Kinks, ray shifts, a Rearrange that
+fails its window check and an R2Create whose token gaps the walk cannot
+decide build and validate their result in full.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .annular import (AnnularDiagram, DiagramError, MorseEvent, fits,
@@ -339,6 +344,28 @@ class Exchange(Move):
         return AnnularDiagram._derive(diagram, evs, diagram.gauss())
 
 
+def _crossings_only(events):
+    return all(ev.kind == 'X' for ev in events)
+
+
+def _far_commuted(old, new):
+    """Do two crossing-only windows differ by far commutations alone,
+    swaps of adjacent crossings two or more positions apart?
+
+    They do exactly when, for every position i, the crossings at i and
+    i + 1 appear as the same sequence of equal events in both (the
+    projection lemma of partially commutative monoids, Cartier-Foata).
+    """
+    projections = []
+    for events in (old, new):
+        proj = defaultdict(list)
+        for ev in events:
+            proj[ev.pos - 1].append(ev)
+            proj[ev.pos].append(ev)
+        projections.append(proj)
+    return projections[0] == projections[1]
+
+
 @dataclass(frozen=True)
 class Rearrange(Move):
     """Replace the count events at slot by events, keeping the marked
@@ -346,16 +373,22 @@ class Rearrange(Move):
 
     Any isotopy of the annulus that crosses no Reidemeister stratum and
     keeps the diagram transverse to the ray acts this way.  The window
-    is checked first: the new events must have the old boundary widths
-    and fit their slices, and one sweep of each window
-    (annular.window_strands) must join the same boundary ports by pieces
-    that meet the same tokens (hence the same crossing ids) and give
-    every crossing the same relative sign, with no closed component
-    inside.  Then the Gauss diagram is the parent's, and only the
-    window's widths change.  A window that fails this may still be
-    planar through the rest of the word, so validity is then decided
-    extensionally: the whole word is rebuilt and its Gauss data compared
-    with the parent's.
+    is checked first.  When the old and the new window hold crossings
+    only, the new one must differ from the old by far commutations
+    (_far_commuted): for every position i, the crossings at positions i
+    and i + 1 appear as the same sequence of equal events in both.  Each
+    strand then meets the same crossings in the same order, as after a
+    run of Exchanges, and every slice keeps the window's width.  A
+    window with a cup or a cap is swept instead: the new events must
+    have the old boundary widths and fit their slices, and one sweep of
+    each window (annular.window_strands) must join the same boundary
+    ports by pieces that meet the same tokens (hence the same crossing
+    ids) and give every crossing the same relative sign, with no closed
+    component inside.  On either check the Gauss diagram is the
+    parent's, and only the window's widths change.  A window that fails
+    its check may still be planar through the rest of the word, so
+    validity is then decided extensionally: the whole word is rebuilt
+    and its Gauss data compared with the parent's.
     """
 
     slot: int
@@ -367,8 +400,11 @@ class Rearrange(Move):
         check accepts the edit, else None."""
         evs, w = diagram.events, diagram.widths()
         s, e = self.slot, self.slot + self.count
-        right = w[e] if e < len(evs) else diagram.w0
         new = [w[s] if s < len(evs) else diagram.w0]
+        old = evs[s:e]
+        if _crossings_only(old) and _crossings_only(self.events):
+            return new * len(self.events) if _far_commuted(old, self.events) else None
+        right = w[e] if e < len(evs) else diagram.w0
         for ev in self.events:
             if not fits(ev, new[-1]):
                 return None
@@ -376,7 +412,7 @@ class Rearrange(Move):
         if new[-1] != right:
             return None
         after = window_strands(self.events, new)
-        if after is None or after != window_strands(evs[s:e], w[s:e] + [right]):
+        if after is None or after != window_strands(old, w[s:e] + [right]):
             return None
         return new[:-1]
 

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cocycle_lab import cli
+from cocycle_lab import cli, loops
 from cocycle_lab.cli import build_parser, run
 
 
@@ -420,6 +420,39 @@ def test_oversized_pairing_framing_and_hosts_are_refused(nothing_built, capsys,
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(
         'cocycle-lab: E_ARGS: the start diagram has ')
+
+
+@pytest.mark.parametrize('argv', [
+    ['invariant', 'v2', '--knot', 'trefoil', '--w1', str(10 ** 8)],
+    ['cable', '--knot', 'trefoil', '--n', '2', '--w1', str(10 ** 7)],
+])
+def test_oversized_cable_and_invariant_are_refused(nothing_built, capsys, argv):
+    # refused before normalize_w1 writes the framing kinks
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('cocycle-lab: E_ARGS: the start diagram has ')
+
+
+@pytest.mark.parametrize('n', [3, 4, 5])
+@pytest.mark.parametrize('flag', ['--rot', '--full-twist'])
+def test_twist_loops_that_cannot_resplit_are_refused_before_transport(
+        monkeypatch, capsys, flag, n):
+    # the full twist on n >= 3 strands holds two generators, so it never
+    # resplits with the tangle; no move of the transport may be made
+    def reached(*args):
+        raise AssertionError('the transport was reached')
+
+    for name in ('follow', 'ray_pass'):
+        monkeypatch.setattr(loops._Transport, name, reached)
+    tangle = ','.join(f's{g}' for g in range(1, n))
+    argv = ['eval', flag, '--tangle', tangle, '--knot', 'trefoil', '--n', str(n),
+            '--w1', '1', '--a', '1']
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == ('cocycle-lab: E_PLAN: tangle does not absorb the '
+                            'twist by resplitting\n')
 
 
 @pytest.mark.parametrize('argv', [

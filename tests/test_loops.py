@@ -145,3 +145,76 @@ def test_planner_movies_are_pinned():
     assert len(movies) == 74
     assert digest.hexdigest() == (
         'f536971cd120053ccbd215c58f7b5921183df54a072e24dfaa2f488729954886')
+
+
+def _refactored_reference(evs, q, n, style):
+    """The block reordered through crossing labels: each crossing is
+    named by the frozenset of its two strands' labels, and the block is
+    written afresh, row by row or run by run, at the positions of
+    cabling.bundle_swap_rows."""
+    from cocycle_lab.annular import MorseEvent
+    from cocycle_lab.cabling import bundle_swap_rows
+    labels = {q + k: ('A', k + 1) for k in range(n)}
+    labels.update({q + n + k: ('B', k + 1) for k in range(n)})
+    pair_cid = {}
+    over = evs[0].over
+    for e in evs:
+        a, b = labels[e.pos], labels[e.pos + 1]
+        pair_cid[frozenset((a, b))] = e.cid
+        labels[e.pos], labels[e.pos + 1] = b, a
+        over = e.over
+    out = []
+    if style == 'rows':
+        for r, row in zip(range(n, 0, -1), bundle_swap_rows(q, n)):
+            for k, pos in enumerate(row):
+                cid = pair_cid[frozenset((('A', r), ('B', k + 1)))]
+                out.append(MorseEvent('X', pos, over, cid))
+    else:
+        for j in range(1, n + 1):
+            for step, pos in enumerate(range(q + n + j - 2, q + j - 2, -1)):
+                cid = pair_cid[frozenset((('B', j), ('A', n - step)))]
+                out.append(MorseEvent('X', pos, over, cid))
+    return out
+
+
+def _random_block(rng, q, n, cids, over):
+    """A random order of the block carrying bundle A (n strands from q)
+    across bundle B: cross any adjacent A-below-B pair until A is above."""
+    from cocycle_lab.annular import MorseEvent
+    at = ['A'] * n + ['B'] * n
+    out = []
+    for cid in cids:
+        i = rng.choice([i for i in range(2 * n - 1) if at[i:i + 2] == ['A', 'B']])
+        at[i], at[i + 1] = 'B', 'A'
+        out.append(MorseEvent('X', q + i, over, cid))
+    return out
+
+
+@pytest.mark.parametrize('n', [2, 3, 4, 5])
+def test_refactored_blocks_match_the_label_reference(n):
+    # random orders of the first crossing block of the trefoil's n-cable,
+    # reordered 'rows' and 'runs' by the planner and by the reference
+    import random
+
+    from cocycle_lab.annular import AnnularDiagram
+    from cocycle_lab.cabling import braid_events, closed_cable, long_events
+    from cocycle_lab.loops import _Transport, _Unit, _cable_units
+    levs = long_events(TREFOIL1)
+    start = closed_cable(braid_events(range(1, n)), levs, n)
+    units = [_Unit('mover', -1, n - 1, 1)] + _cable_units(levs, n)
+    ui = next(i for i, u in enumerate(units) if u.kind == 'block')
+    s, q = sum(u.length for u in units[:ui]), units[ui].q
+    block = start.events[s:s + n * n]
+    rng = random.Random(n)
+    reordered = set()
+    for _ in range(20):
+        evs = _random_block(rng, q, n, [e.cid for e in block], block[0].over)
+        d = AnnularDiagram(n, start.events[:s] + evs + start.events[s + n * n:])
+        for style in ('rows', 'runs'):
+            tr = _Transport(d, units, 1)
+            tr._refactor_block(ui, style)
+            want = _refactored_reference(evs, q, n, style)
+            assert tr.movie.final().events[s:s + n * n] == want
+            if want != evs:
+                reordered.add(style)
+    assert reordered == {'rows', 'runs'}

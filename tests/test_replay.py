@@ -21,9 +21,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cocycle_lab import verify
+from cocycle_lab import moves, verify
 from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
-                                parse_morse)
+                                fits, parse_morse, window_strands)
 from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS27, LONG_TREFOIL,
                                  braid_events, closed_cable, long_events,
                                  normalize_w1)
@@ -135,6 +135,81 @@ def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies, count):
         assert _validations(monkeypatch, movie) == 1 + shifts
         monkeypatch.undo()
     assert any(isinstance(mv, Rearrange) for movie in movies for mv in movie.moves)
+
+
+def _swept_window_widths(mv, diagram):
+    """The window check by two sweeps (annular.window_strands) on every
+    window, crossing-only ones too: the reference for the far-commutation
+    check."""
+    evs, w = diagram.events, diagram.widths()
+    s, e = mv.slot, mv.slot + mv.count
+    right = w[e] if e < len(evs) else diagram.w0
+    new = [w[s] if s < len(evs) else diagram.w0]
+    for ev in mv.events:
+        if not fits(ev, new[-1]):
+            return None
+        new.append(new[-1] + ev.delta)
+    if new[-1] != right:
+        return None
+    after = window_strands(mv.events, new)
+    if after is None or after != window_strands(evs[s:e], w[s:e] + [right]):
+        return None
+    return new[:-1]
+
+
+@pytest.mark.parametrize("movies", [_transport_grid, _scan_variant_movies],
+                         ids=["transport-grid", "scan-variants"])
+def test_planner_rearranges_keep_the_swept_widths_and_the_gauss_diagram(movies):
+    windows = Counter()
+    for movie in movies():
+        for before, mv, after in movie.steps():
+            if not isinstance(mv, Rearrange):
+                continue
+            want = _swept_window_widths(mv, before)
+            assert want is not None, mv
+            assert mv.window_widths(before) == want, mv
+            w = before.widths()
+            assert after.widths() == w[:mv.slot] + want + w[mv.slot + mv.count:]
+            assert after.gauss() is before.gauss()
+            windows[all(ev.kind == 'X' for ev in mv.events)] += 1
+    # both checks are used: crossing-only windows and windows with a turn
+    assert windows[True] > 0 and windows[False] > 0
+
+
+@st.composite
+def _crossing_windows(draw):
+    """A crossing-only window of width 2..6 with 1..7 crossings, and a
+    variant made by far-commutation shuffles, arbitrary reorders,
+    position changes and flag flips."""
+    w = draw(st.integers(2, 6), label="width")
+    k = draw(st.integers(1, 7), label="crossings")
+    old = [MorseEvent('X', draw(st.integers(1, w - 1)), draw(st.sampled_from("+-")),
+                      cid) for cid in range(1, k + 1)]
+    new = list(old)
+    for _ in range(draw(st.integers(0, 8), label="shuffles")):
+        far = [i for i in range(k - 1) if abs(new[i].pos - new[i + 1].pos) >= 2]
+        if far:
+            i = draw(st.sampled_from(far))
+            new[i], new[i + 1] = new[i + 1], new[i]
+    for _ in range(draw(st.integers(0, 2), label="edits")):
+        edit = draw(st.sampled_from(("reorder", "pos", "flip")))
+        if edit == "reorder":
+            new = draw(st.permutations(new))
+        else:
+            i = draw(st.integers(0, k - 1))
+            ev = new[i]
+            new[i] = (MorseEvent('X', draw(st.integers(1, w - 1)), ev.over, ev.cid)
+                      if edit == "pos" else _flip(ev))
+    return w, old, new
+
+
+@given(_crossing_windows())
+@settings(max_examples=500, deadline=None)
+def test_far_commutation_check_decides_as_the_sweep(case):
+    w, old, new = case
+    widths = [w] * (len(old) + 1)
+    swept = window_strands(old, widths) == window_strands(new, widths)
+    assert moves._far_commuted(old, new) == swept
 
 
 def _first_loop(candidates):
