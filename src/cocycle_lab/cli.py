@@ -93,7 +93,7 @@ def _tangle_word(text):
 def _check_start(crossings):
     if crossings > MAX_START_CROSSINGS:
         raise UsageError(f"E_ARGS: the start diagram has {crossings} crossings; "
-                         f"loops are built from at most {MAX_START_CROSSINGS}")
+                         f"at most {MAX_START_CROSSINGS} are accepted")
 
 
 def _framed(spec, target_w1, start=None):

@@ -8,10 +8,12 @@ classes are the ones marked (a, n, a) and (n, n, n).  Each contribution
 couples the move's local weight (an arrow count over the instantaneous
 diagram) with a linking-style count along the ml chord.
 
-Everything is read off the markings and token positions the replay
-leaves on the state before the move, and the arrow counts pair only the
-marking-n crossings that count (the move's f-crossings, or hm) with the
-marking-0 ones.
+Everything is read off what the replay leaves on the state before the
+move: the triangle's three token pairs, found once when R3 was applied
+and kept by the Gauss diagram (moves.r3_token_pairs), and the markings
+and token positions.  The arrow counts pair only the marking-n
+crossings that count (the move's f-crossings, or hm) with the marking-0
+ones.
 """
 
 from __future__ import annotations
@@ -51,18 +53,18 @@ def classify_r3(state, slot):
         raise CocycleError(str(exc)) from exc
     g = state.gauss()
     toks = g.tokens
-    # each strand meets two crossings back to back and passes over ('h')
-    # one per strand below it; R3's check leaves only totally ordered
-    # heights, so one pair is hh (the highest strand) and one ff (the
-    # lowest), and d is the crossing they share
-    pairs = [(toks[i], toks[i + 1]) for i in r3_token_pairs(g, trip)]
-    for (k0, c0), (k1, c1) in pairs:
-        if k0 == k1 == 'h':
-            hi = c0, c1
-        elif k0 == k1:
-            lo = c0, c1
-    d, hm = hi if hi[0] in lo else hi[::-1]
-    ml = lo[1] if lo[0] == d else lo[0]
+    # the pairs R3.apply transposes: each strand meets two crossings back
+    # to back and passes over ('h') one per strand below it; R3's check
+    # leaves only totally ordered heights, so one pair is hh (the highest
+    # strand) and one ff (the lowest), and d is the crossing they share
+    i, j, k = r3_token_pairs(g, trip)
+    (x0, p0), (y0, q0) = toks[i], toks[i + 1]
+    (x1, p1), (y1, q1) = toks[j], toks[j + 1]
+    (x2, p2), (y2, q2) = toks[k], toks[k + 1]
+    h0, h1 = (p0, q0) if x0 == y0 == 'h' else (p1, q1) if x1 == y1 == 'h' else (p2, q2)
+    f0, f1 = (p0, q0) if x0 == y0 == 'f' else (p1, q1) if x1 == y1 == 'f' else (p2, q2)
+    d, hm = (h0, h1) if h0 == f0 or h0 == f1 else (h1, h0)
+    ml = f1 if f0 == d else f0
 
     marks = g.markings()
     md, mhm, mml = marks[d], marks[hm], marks[ml]
@@ -74,37 +76,33 @@ def classify_r3(state, slot):
     else:
         raise CocycleError(f"marking balance {total} fits neither side")
 
-    wd, whm, wml = g.signs[d], g.signs[hm], g.signs[ml]
-    local = 1 + (wd < 0) * 4 + (whm < 0) * 2 + (wml < 0)
+    signs = g.signs
+    whm = signs[hm]
+    local = 1 + (signs[d] < 0) * 4 + (whm < 0) * 2 + (signs[ml] < 0)
 
     # the three pairs hold the six ends in token order, and any two of
     # the chords have one end in a common pair; they interleave when the
     # first end of that pair belongs to the chord whose other end comes
     # in the next pair, cyclically
-    (p0, q0), (p1, q1), (p2, q2) = [(x[1], y[1]) for x, y in pairs]
-    inter = (p0 in (p1, q1)) + (p1 in (p2, q2)) + (p2 in (p0, q0))
-    sign = -1 if inter % 2 else 1
-
+    inter = ((p0 == p1 or p0 == q1) + (p1 == p2 or p1 == q2)
+             + (p2 == p0 or p2 == q0))
     return TripleData(slot=slot, d=d, hm=hm, ml=ml,
                       marks={'d': md, 'hm': mhm, 'ml': mml},
-                      global_type=gtype, local_type=local, sign=sign,
-                      w_hm=whm)
+                      global_type=gtype, local_type=local,
+                      sign=-1 if inter % 2 else 1, w_hm=whm)
 
 
 def f_crossings(g, triple, n):
     """Marking-n crossings, outside the triangle, whose foot lies
     strictly inside the arc from the head of hm to the foot of hm."""
-    start = g.position('h', triple.hm)
-    stop = g.position('f', triple.hm)
-    out = []
-    skip = {triple.d, triple.hm, triple.ml}
+    pos, size = g._pos, len(g.tokens)
+    start = pos[('h', triple.hm)]
+    span = (pos[('f', triple.hm)] - start) % size
     marks = g.markings()
-    for cid in g.signs:
-        if cid in skip or marks[cid] != n:
-            continue
-        if g.in_open_arc(g.position('f', cid), start, stop):
-            out.append(cid)
-    return out
+    skip = triple.d, triple.hm, triple.ml
+    return [cid for cid in g.signs
+            if marks[cid] == n and cid not in skip
+            and 0 < (pos[('f', cid)] - start) % size < span]
 
 
 def w2_p(g, triple, n):
@@ -118,32 +116,24 @@ def w2_hm(g, triple, n):
     return sum(w for _, _, w in match_n0_pairs(g, n, (triple.hm,)))
 
 
-def _arc_ml(g, triple):
-    """The side of the ml chord away from the highest branch: returns the
-    (start, stop) token positions of the open arc."""
-    h_ml = g.position('h', triple.ml)
-    f_ml = g.position('f', triple.ml)
-    h_d = g.position('h', triple.d)
-    # the highest branch carries head(d) and head(hm)
-    if g.in_open_arc(h_d, h_ml, f_ml):
-        return f_ml, h_ml
-    return h_ml, f_ml
-
-
 def l_p(g, triple, n, mark_needed):
     """Signed count of crossings of the required marking cutting the ml
     chord from the side away from the highest branch."""
-    start, stop = _arc_ml(g, triple)
+    pos, size = g._pos, len(g.tokens)
+    h_ml, f_ml = pos[('h', triple.ml)], pos[('f', triple.ml)]
+    # the open arc of the ml chord that does not hold head(d): the
+    # highest branch carries head(d) and head(hm)
+    start, span = h_ml, (f_ml - h_ml) % size
+    if 0 < (pos[('h', triple.d)] - h_ml) % size < span:
+        start, span = f_ml, size - span
     marks = g.markings()
-    skip = {triple.d, triple.hm, triple.ml}
+    skip = triple.d, triple.hm, triple.ml
     total = 0
-    for cid in g.signs:
-        if cid in skip or marks[cid] != mark_needed:
-            continue
-        foot_in = g.in_open_arc(g.position('f', cid), start, stop)
-        head_in = g.in_open_arc(g.position('h', cid), start, stop)
-        if foot_in and not head_in:
-            total += g.signs[cid]
+    for cid, sign in g.signs.items():
+        if (marks[cid] == mark_needed and cid not in skip
+                and 0 < (pos[('f', cid)] - start) % size < span
+                and not 0 < (pos[('h', cid)] - start) % size < span):
+            total += sign
     return total
 
 
@@ -171,12 +161,13 @@ class CocycleReport:
 def _rows(state, slot, index, n, avals):
     """The report row of one triple point move for every a in avals.
 
-    Classification and the a-independent counts are done once; only the
+    Classification and the a-independent counts are done once, and a row
+    that does not depend on a is built once and shared; only the
     (n, n, n) class needs l_p at the marking n - a of each a.
     """
     t = classify_r3(state, slot)
-    rows = {a: MoveRow(index=index, triple=t, contrib=0) for a in avals}
     md, mhm, mml = t.marks['d'], t.marks['hm'], t.marks['ml']
+    rows = dict.fromkeys(avals, MoveRow(index=index, triple=t, contrib=0))
     if t.global_type != 'r' or mhm != n or md != mml:
         return rows                 # neither (a, n, a) nor (n, n, n)
     g = state.gauss()

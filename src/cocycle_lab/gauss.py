@@ -52,6 +52,11 @@ class GaussDiagram:
     markings; a tangency move (edited) indexes its tokens afresh and
     copies the parent's markings.  So a chain of local moves runs the
     markings prefix sum once.
+
+    The last triangle asked of a diagram (moves.r3_token_pairs) is kept,
+    keyed by its three crossing ids: R3.apply finds it once and
+    cocycle.classify_r3 reads it on the same state.  Nothing changes a
+    diagram, so a kept triangle cannot be stale.
     """
 
     tokens: list
@@ -60,6 +65,7 @@ class GaussDiagram:
     def __post_init__(self):
         self._pos = {tok: idx for idx, tok in enumerate(self.tokens) if tok[0] != 'r'}
         self._marks = None
+        self._triangle = None, None
 
     @property
     def homology_class(self):
@@ -105,7 +111,7 @@ class GaussDiagram:
             pos[x], pos[y] = i + 1, i
         g = GaussDiagram.__new__(GaussDiagram)
         g.tokens, g.signs, g._pos = tokens, self.signs, pos
-        g._marks = self.markings()
+        g._marks, g._triangle = self.markings(), (None, None)
         return g
 
     def edited(self, cuts, signs):

@@ -243,11 +243,18 @@ def r3_token_pairs(g, trip):
     """Index of the first token of each strand's pair in a triple point
     pattern.  Each strand meets two of its crossings back to back, and no
     ray passage (the token list starts on one) lies inside the pattern,
-    so the six tokens' sorted positions form three adjacent pairs."""
-    pos = g._pos
-    a, b, c = trip[0].cid, trip[1].cid, trip[2].cid
-    return sorted((pos[('h', a)], pos[('f', a)], pos[('h', b)],
-                   pos[('f', b)], pos[('h', c)], pos[('f', c)]))[::2]
+    so the six tokens' sorted positions form three adjacent pairs.  The
+    diagram keeps the last triangle asked of it, for classify_r3."""
+    key = trip[0].cid, trip[1].cid, trip[2].cid
+    kept, firsts = g._triangle
+    if kept != key:
+        pos = g._pos
+        a, b, c = key
+        i, _, j, _, k, _ = sorted((pos[('h', a)], pos[('f', a)], pos[('h', b)],
+                                   pos[('f', b)], pos[('h', c)], pos[('f', c)]))
+        firsts = i, j, k
+        g._triangle = key, firsts
+    return firsts
 
 
 @dataclass(frozen=True)
@@ -261,7 +268,8 @@ class R3(Move):
     changes by three transpositions of adjacent tokens, at the pairs
     r3_token_pairs finds (GaussDiagram.transposed): the token list and
     the index are copied and six entries move, and the signs and the
-    markings are the parent's.
+    markings are the parent's.  The parent keeps the pairs found, and
+    cocycle.classify_r3 reads them when it classifies the move.
     """
 
     slot: int

@@ -17,8 +17,9 @@ from cocycle_lab import verify
 from cocycle_lab.annular import AnnularDiagram
 from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS25, LONG_TORUS27,
                                  LONG_TREFOIL, normalize_w1)
-from cocycle_lab.cocycle import evaluate_all, f_crossings, l_p
-from cocycle_lab.discriminant import random_contractible_loop
+from cocycle_lab.cocycle import classify_r3, evaluate_all, f_crossings, l_p
+from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError, meridian_loop,
+                                      quad_host, random_contractible_loop)
 from cocycle_lab.gauss import GaussDiagram, match_n0_pairs
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
@@ -134,6 +135,118 @@ def test_report_rows_match_the_reference_over_the_transport_grid():
                                                     row.index)
                 counted += any(got)
     assert counted > 0
+
+
+# the push loops whose values depend on a, pinned in test_identities
+# (n = 4, 5): their rows at a != md do not depend on a
+A_DEPENDENT = [(LONG_TREFOIL, [-3, 1, 2], 4),
+               (LONG_TREFOIL, [1, -2, -3, 2, 3], 4),
+               (LONG_TREFOIL, [3, 1, -2, 3, 4, -2, -1, 2], 5),
+               (LONG_FIG8, [-3, 1, 2], 4)]
+
+
+def a_dependent_push_loops():
+    return [push_loop(tangle, normalize_w1(knot, 1), n)
+            for knot, tangle, n in A_DEPENDENT]
+
+
+def tetrahedron_meridians(n):
+    """The quadruple point meridians of the tetrahedron suite at n."""
+    movies = []
+    for order in GLOBAL_TYPES.values():
+        for ws in verify._windings(4, n):
+            try:
+                host, slot = quad_host(order, ws, n)
+            except HostError:
+                continue
+            movies.append(meridian_loop(host, slot))
+    return movies
+
+
+def triple_point_moves(movie):
+    """{move index: state before} of the movie's triple point moves."""
+    return {k: before for k, (before, mv, _) in enumerate(movie.steps(), 1)
+            if isinstance(mv, R3)}
+
+
+def rows_against_the_reference(movie):
+    """Compare the report rows of a movie at every a with reference_row;
+    returns the number of (row, a) whose counts are not all zero."""
+    n, before = movie.start.n, triple_point_moves(movie)
+    counted = 0
+    for a, report in evaluate_all(movie, report=True).items():
+        assert [row.index for row in report.rows] == list(before)
+        for row in report.rows:
+            got = (row.w2p, row.lp, row.w2hm, row.contrib)
+            assert got == reference_row(before[row.index], row.triple, n, a), \
+                (n, a, row.index)
+            counted += any(got)
+    return counted
+
+
+def test_report_rows_match_the_reference_on_loops_that_depend_on_a():
+    for movie in a_dependent_push_loops():
+        assert rows_against_the_reference(movie) > 0
+
+
+def test_report_rows_match_the_reference_on_the_tetrahedron_meridians():
+    # the n = 3 meridians meet (n, n, n) moves, whose rows take l_p at the
+    # marking n - a of each a; the transport grid meets none
+    movies = tetrahedron_meridians(3)
+    nnn = sum(row.triple.marks == {'d': 3, 'hm': 3, 'ml': 3} and row.lp != 0
+              for movie in movies
+              for report in evaluate_all(movie, report=True).values()
+              for row in report.rows)
+    assert len(movies) == 120 and nnn > 0
+    assert sum(rows_against_the_reference(movie) for movie in movies) > 0
+
+
+def reference_arc(g, cid):
+    """The tokens strictly inside the arc from the head of cid to its foot."""
+    toks, size = g.tokens, len(g.tokens)
+    h, f = toks.index(('h', cid)), toks.index(('f', cid))
+    return {toks[i % size] for i in range(h + 1, h + (f - h) % size)}
+
+
+def reference_f_crossings(g, marks, t, n):
+    arc = reference_arc(g, t.hm)
+    return [c for c in g.signs if c not in (t.d, t.hm, t.ml)
+            and marks[c] == n and ('f', c) in arc]
+
+
+def reference_l_p(g, marks, t, mark):
+    """l_p with the ml chord's two sides listed token by token: the side
+    away from the highest branch is the one without head(d)."""
+    side = reference_arc(g, t.ml)
+    if ('h', t.d) in side:
+        side = set(g.tokens) - side - {('h', t.ml), ('f', t.ml)}
+    return sum(s for c, s in g.signs.items() if c not in (t.d, t.hm, t.ml)
+               and marks[c] == mark and ('f', c) in side
+               and ('h', c) not in side)
+
+
+def test_f_crossings_and_l_p_match_the_reference():
+    # l_p and f_crossings read the token index with cyclic offsets and the
+    # kept markings; the reference reads the token list alone, listing the
+    # arcs token by token and counting the markings anew
+    movies = ([planner(list(range(1, n)), knot, n) for planner, knot, n in GRID]
+              + a_dependent_push_loops() + tetrahedron_meridians(3))
+    seen = Counter()
+    for movie in movies:
+        n = movie.start.n
+        for before, mv, _ in movie.steps():
+            if not isinstance(mv, R3):
+                continue
+            t = classify_r3(before, mv.slot)
+            g = before.gauss()
+            marks = reference_markings(g)
+            fc = f_crossings(g, t, n)
+            assert sorted(fc) == sorted(reference_f_crossings(g, marks, t, n))
+            lps = [l_p(g, t, n, m) for m in range(n + 1)]
+            assert lps == [reference_l_p(g, marks, t, m) for m in range(n + 1)]
+            seen['f'] += bool(fc)
+            seen['l'] += any(lps)
+    assert seen['f'] > 0 and seen['l'] > 0
 
 
 def test_markings_prefix_sum_runs_once_per_diagram_no_r3_edit_made(

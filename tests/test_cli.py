@@ -398,7 +398,7 @@ def test_oversized_start_is_refused_before_the_loop_is_built(
     assert captured.out == ''
     assert captured.err == (
         f'cocycle-lab: E_ARGS: the start diagram has {MAX_START + 1} crossings; '
-        f'loops are built from at most {MAX_START}\n')
+        f'at most {MAX_START} are accepted\n')
     # one crossing fewer is built
     with pytest.raises(AssertionError, match='the loop was built'):
         run(_loop_argv(command, flag, MAX_START))
@@ -427,11 +427,16 @@ def test_oversized_pairing_framing_and_hosts_are_refused(nothing_built, capsys,
     ['cable', '--knot', 'trefoil', '--n', '2', '--w1', str(10 ** 7)],
 ])
 def test_oversized_cable_and_invariant_are_refused(nothing_built, capsys, argv):
-    # refused before normalize_w1 writes the framing kinks
+    # refused before normalize_w1 writes the framing kinks; these commands
+    # build no loop, and the message names none.  The start diagram is n * n
+    # copies of the trefoil's 3 crossings and its |w1 - 1| framing kinks
+    crossings = {'invariant': 10 ** 8 + 2, 'cable': 4 * (10 ** 7 + 2)}[argv[0]]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ''
-    assert captured.err.startswith('cocycle-lab: E_ARGS: the start diagram has ')
+    assert captured.err == (
+        f'cocycle-lab: E_ARGS: the start diagram has {crossings} crossings; '
+        f'at most {MAX_START} are accepted\n')
 
 
 @pytest.mark.parametrize('n', [3, 4, 5])

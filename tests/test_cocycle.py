@@ -219,3 +219,46 @@ def test_classify_r3_refuses_cyclic_heights_as_the_reference(word, flags):
     with pytest.raises(CocycleError) as got:
         classify_r3(state, 0)
     assert str(got.value) == str(want.value)
+
+
+def test_triangle_is_found_once_per_triple_point_move(monkeypatch):
+    # R3.apply finds the triangle's token pairs on the state before the
+    # move and the diagram keeps them; classify_r3 on that state reads the
+    # kept pairs instead of finding them again
+    from cocycle_lab import cocycle, moves
+    from cocycle_lab.discriminant import tangency_hosts, tangency_loop
+    find, found = moves.r3_token_pairs, []
+
+    def recorded(g, trip):
+        firsts = find(g, trip)
+        found.append(firsts)
+        return firsts
+
+    for module in (moves, cocycle):
+        monkeypatch.setattr(module, 'r3_token_pairs', recorded)
+    flags, host, slot = next(tangency_hosts((1, 2, 3), (0, 0, 2), 2))
+    movies = [push_loop([1, 2], normalize_w1(LONG_TREFOIL, 1), 3),
+              tangency_loop(host, slot, flags[0])]
+    r3s = 0
+    for movie in movies:
+        r3s += sum(isinstance(mv, R3) for mv in movie.moves)
+        evaluate_all(movie)
+    assert r3s > 0 and len(found) == 2 * r3s
+    # found keeps every result alive, so no two of them share an id
+    assert len({id(firsts) for firsts in found}) == r3s
+
+
+def test_a_kept_triangle_gives_way_to_the_next_one_asked():
+    from cocycle_lab.moves import r3_token_pairs, r3_triple
+    for state in trefoil_push().states():
+        g = state.gauss()
+        trips = [t for s in range(len(state.events))
+                 if (t := r3_triple(state.events, s)) is not None]
+        if len(trips) < 2:
+            continue
+        want = [sorted(g.position(k, ev.cid) for ev in t for k in 'hf')[::2]
+                for t in trips]
+        for t, firsts in zip(trips + trips[::-1], want + want[::-1]):
+            assert list(r3_token_pairs(g, t)) == firsts
+        return
+    raise AssertionError("no state with two triple point patterns")
