@@ -321,21 +321,22 @@ class AnnularDiagram:
         self.w0 = n if w0 is None else w0
         self.validate()
 
-    @classmethod
-    def _derive(cls, parent, events, gauss, widths=None):
-        """The state a local move leaves behind, built without validation.
-
-        Only for moves whose Gauss data follows from the parent's by a
-        local edit (Exchange, R3, R2Create, R2Delete, a Rearrange that
-        passed its window check), and for the flag variants of a
-        tangency host: the parent was validated, so the derived state is
-        as well.  It shares the parent's n and w0, and its widths unless
-        the move passes the new ones.
-        """
-        d = cls.__new__(cls)
-        d.n, d.events, d.w0 = parent.n, events, parent.w0
-        d._widths = parent._widths if widths is None else widths
-        d._gauss = gauss
+    def spliced(self, slot, count, new, gauss=None, widths=None):
+        """The state left when the count events at slot are replaced by
+        new, built without validation: only for edits whose Gauss data
+        follows from this validated state's by a local edit (the local
+        moves, the flag variants of a tangency host).  It keeps n and w0,
+        and shares this state's Gauss diagram unless gauss is given, and
+        its widths unless widths, those of the new window, is given."""
+        d = AnnularDiagram.__new__(AnnularDiagram)
+        d.n, d.w0, d._gauss = self.n, self.w0, self._gauss if gauss is None else gauss
+        d.events = events = list(self.events)
+        events[slot:slot + count] = new
+        if widths is None:
+            d._widths = self._widths
+        else:
+            d._widths = w = list(self._widths)
+            w[slot:slot + count] = widths
         return d
 
     # -- structure ---------------------------------------------------------

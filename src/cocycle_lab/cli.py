@@ -90,10 +90,10 @@ def _tangle_word(text):
     return word
 
 
-def _check_start(crossings):
+def _check_start(crossings, least=''):
     if crossings > MAX_START_CROSSINGS:
-        raise UsageError(f"E_ARGS: the start diagram has {crossings} crossings; "
-                         f"at most {MAX_START_CROSSINGS} are accepted")
+        raise UsageError(f"E_ARGS: the start diagram has {least}{crossings} "
+                         f"crossings; at most {MAX_START_CROSSINGS} are accepted")
 
 
 def _framed(spec, target_w1, start=None):
@@ -236,6 +236,9 @@ def _cmd_cable(args):
 
 
 def _cmd_loops(args):
+    if args.meridian is not None or args.cube:
+        # a class-n diagram has >= n - 1 crossings; checked before the O(n^2) host build
+        _check_start(args.n - 1, 'at least ')
     if args.meridian is not None:
         windings = tuple(args.windings or (0, 0, 0, args.n))
         host, slot = quad_host(GLOBAL_TYPES[args.meridian], windings, args.n)

@@ -113,8 +113,7 @@ def _reflagged(base, slot, flags):
     tokens = [(('f' if k == 'h' else 'h'), v) if k != 'r' and v in flipped
               else (k, v) for k, v in bg.tokens]
     signs = {cid: -s if cid in flipped else s for cid, s in bg.signs.items()}
-    events = base.events[:slot] + new + base.events[slot + 4:]
-    return AnnularDiagram._derive(base, events, GaussDiagram(tokens, signs))
+    return base.spliced(slot, 4, new, GaussDiagram(tokens, signs))
 
 
 def _site_host(order, windings, n, block, perm):

@@ -21,15 +21,18 @@ slot) that returns the events or None (cancelling_pair, exchange_pair,
 r3_triple), which random walks call too, before building a move.
 
 Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
-R2Delete and a Rearrange that passes its window check) build the state
-they leave behind from their parent's without walking the whole diagram
-again.  A Rearrange whose old and new windows hold crossings only passes
-when the two differ by far commutations, that is when, for every
-position i, the crossings at i and i + 1 appear as the same sequence of
-events in both; a window with a cup or a cap is compared by one sweep of
-each (annular.window_strands).  Kinks, ray shifts, a Rearrange that
-fails its window check and an R2Create whose token gaps the walk cannot
-decide build and validate their result in full.
+R2Delete, R1Delete and a Rearrange that passes its window check) splice
+their parent state (AnnularDiagram.spliced): the window's events, and
+its widths and Gauss data where they change, are replaced without
+walking the whole diagram again, and both deletions drop their
+crossings' tokens (_drop).  A Rearrange whose old and new windows hold
+crossings only passes when the two differ by far commutations, that is
+when, for every position i, the crossings at i and i + 1 appear as the
+same sequence of events in both; a window with a cup or a cap is
+compared by one sweep of each (annular.window_strands).  Kink
+creations, ray shifts, a Rearrange that fails its window check and an
+R2Create whose token gaps the walk cannot decide build and validate
+their result in full.
 """
 
 from __future__ import annotations
@@ -113,10 +116,20 @@ class R1Delete(Move):
         raise MoveError('E_R1', f"no kink at slot {self.slot}")
 
     def apply(self, diagram):
-        self.check(diagram)
-        evs = list(diagram.events)
-        del evs[self.slot:self.slot + 3]
-        return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+        return _drop(diagram, self.slot, 3, (self.check(diagram),))
+
+
+def _drop(diagram, slot, count, cids):
+    """The state left when the count events at slot, a kink or a
+    tangency pair of the crossings cids, are deleted.  Removing a kink
+    or a bigon cannot disconnect the knot and moves no ray passage, so
+    the Gauss data loses the crossings' tokens and signs, and every
+    other crossing keeps its sign and marking (GaussDiagram.edited)."""
+    g = diagram.gauss()
+    gone = sorted(g.position(k, cid) for cid in cids for k in 'hf')
+    signs = {cid: sg for cid, sg in g.signs.items() if cid not in cids}
+    return diagram.spliced(slot, count, (),
+                           g.edited([(i, i + 1, ()) for i in gone], signs), ())
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,9 @@ class R2Create(Move):
     over_first is '+'.  So the Gauss data changes by a pair of tokens
     inserted where each strand crosses the slot (annular.token_gap), in
     word order or reversed with the strand's direction, and the two
-    crossings get opposite signs.  The new diagram (GaussDiagram.edited)
-    indexes its tokens afresh and keeps the parent's markings, since no
-    ray passage moves; only the two new crossings are read off the ray
-    passages between their ends.  Where the tokens do not decide the
-    gaps, or both strands sit in one gap, the word is built in full.
+    crossings get opposite signs (GaussDiagram.edited).  Where the tokens
+    do not decide the gaps, or both strands sit in one gap, the word is
+    built in full.
     """
 
     slot: int
@@ -164,22 +175,22 @@ class R2Create(Move):
     def apply(self, diagram):
         ws, c1, c2 = self.check(diagram)
         s = self.slot
-        evs = list(diagram.events)
-        evs[s:s] = [MorseEvent('X', self.pos, self.over_first, c1),
-                    MorseEvent('X', self.pos, _other(self.over_first), c2)]
-        w, g = diagram.widths(), diagram.gauss()
+        pair = (MorseEvent('X', self.pos, self.over_first, c1),
+                MorseEvent('X', self.pos, _other(self.over_first), c2))
         gaps = [token_gap(diagram, s, p) for p in (self.pos, self.pos + 1)]
         if None in gaps or gaps[0][0] == gaps[1][0]:
-            return AnnularDiagram(diagram.n, evs, w0=diagram.w0)
+            evs = diagram.events
+            return AnnularDiagram(diagram.n, evs[:s] + list(pair) + evs[s:],
+                                  w0=diagram.w0)
         (ja, da), (jb, db) = gaps
         ka, kb = ('h', 'f') if self.over_first == '+' else ('f', 'h')
         cuts = sorted([(ja, ja, [(ka, c1), (ka, c2)][::da]),
                        (jb, jb, [(kb, c1), (kb, c2)][::db])])
+        g = diagram.gauss()
         signs = dict(g.signs)
         signs[c1] = da * db * (1 if self.over_first == '+' else -1)
         signs[c2] = -signs[c1]
-        return AnnularDiagram._derive(diagram, evs, g.edited(cuts, signs),
-                                      w[:s] + [ws, ws] + w[s:])
+        return diagram.spliced(s, 0, pair, g.edited(cuts, signs), (ws, ws))
 
 
 def cancelling_pair(events, slot):
@@ -194,13 +205,8 @@ def cancelling_pair(events, slot):
 
 @dataclass(frozen=True)
 class R2Delete(Move):
-    """Cancel a tangency pair X(pos) X(pos) with opposite over flags.
-
-    Removing a bigon cannot disconnect the knot: the Gauss data loses
-    the four tokens and the two signs of the pair, and nothing else
-    changes.  The new diagram (GaussDiagram.edited) indexes the tokens
-    left afresh, and every other crossing keeps its sign and marking.
-    """
+    """Cancel a tangency pair X(pos) X(pos) with opposite over flags; the
+    Gauss data loses the pair's tokens and signs (_drop)."""
 
     slot: int
 
@@ -212,15 +218,7 @@ class R2Delete(Move):
 
     def apply(self, diagram):
         a, b = self.check(diagram)
-        out = list(diagram.events)
-        del out[self.slot:self.slot + 2]
-        w = list(diagram.widths())
-        del w[self.slot:self.slot + 2]
-        g = diagram.gauss()
-        gone = sorted(g.position(k, ev.cid) for ev in (a, b) for k in 'hf')
-        signs = {cid: sg for cid, sg in g.signs.items() if cid not in (a.cid, b.cid)}
-        return AnnularDiagram._derive(
-            diagram, out, g.edited([(i, i + 1, ()) for i in gone], signs), w)
+        return _drop(diagram, self.slot, 2, (a.cid, b.cid))
 
 
 # flag triples whose three strand heights are cyclically ordered instead
@@ -285,14 +283,11 @@ class R3(Move):
 
     def apply(self, diagram):
         trip = a, b, c = self.check(diagram)
-        evs = list(diagram.events)
-        evs[self.slot:self.slot + 3] = [
-            MorseEvent('X', b.pos, c.over, c.cid),
-            MorseEvent('X', a.pos, b.over, b.cid),
-            MorseEvent('X', b.pos, a.over, a.cid)]
+        new = (MorseEvent('X', b.pos, c.over, c.cid),
+               MorseEvent('X', a.pos, b.over, b.cid),
+               MorseEvent('X', b.pos, a.over, a.cid))
         g = diagram.gauss()
-        return AnnularDiagram._derive(diagram, evs,
-                                      g.transposed(r3_token_pairs(g, trip)))
+        return diagram.spliced(self.slot, 3, new, g.transposed(r3_token_pairs(g, trip)))
 
 
 @dataclass(frozen=True)
@@ -347,9 +342,7 @@ class Exchange(Move):
 
     def apply(self, diagram):
         a, b = self.check(diagram)
-        evs = list(diagram.events)
-        evs[self.slot], evs[self.slot + 1] = b, a
-        return AnnularDiagram._derive(diagram, evs, diagram.gauss())
+        return diagram.spliced(self.slot, 2, (b, a))
 
 
 def _crossings_only(events):
@@ -429,13 +422,11 @@ class Rearrange(Move):
         s, e = self.slot, self.slot + self.count
         if s < 0 or not s <= e <= len(evs):
             raise MoveError('E_REARRANGE', "window out of range")
-        out = evs[:s] + list(self.events) + evs[e:]
         widths = self.window_widths(diagram)
         if widths is not None:
-            w = diagram.widths()
-            return AnnularDiagram._derive(diagram, out, diagram.gauss(),
-                                          w[:s] + widths + w[e:])
-        full = AnnularDiagram(diagram.n, out, w0=diagram.w0)
+            return diagram.spliced(s, self.count, self.events, widths=widths)
+        full = AnnularDiagram(diagram.n, evs[:s] + list(self.events) + evs[e:],
+                              w0=diagram.w0)
         g0, g1 = diagram.gauss(), full.gauss()
         if g0.canonical_tokens() != g1.canonical_tokens() or g0.signs != g1.signs:
             raise MoveError('E_PLANAR', "rearrangement changes the Gauss diagram")

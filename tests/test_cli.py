@@ -422,6 +422,29 @@ def test_oversized_pairing_framing_and_hosts_are_refused(nothing_built, capsys,
         'cocycle-lab: E_ARGS: the start diagram has ')
 
 
+@pytest.mark.parametrize('n', [MAX_START + 2, 10 ** 5, 10 ** 6])
+@pytest.mark.parametrize('flag', [['--meridian', '1'], ['--cube']],
+                         ids=['meridian', 'cube'])
+def test_oversized_hosts_are_refused_before_they_are_built(
+        nothing_built, monkeypatch, capsys, flag, n):
+    # a class-n diagram has at least n - 1 crossings, and a host takes
+    # time quadratic in n to build, so n - 1 is checked before the host
+    def reached(*args):
+        raise AssertionError('the host was built')
+
+    for name in ('quad_host', 'tangency_host'):
+        monkeypatch.setattr(cli, name, reached)
+    assert run(['loops', *flag, '--n', str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == (
+        f'cocycle-lab: E_ARGS: the start diagram has at least {n - 1} crossings; '
+        f'at most {MAX_START} are accepted\n')
+    # at n - 1 = MAX_START the host is built, and its own count decides
+    with pytest.raises(AssertionError, match='the host was built'):
+        run(['loops', *flag, '--n', str(MAX_START + 1)])
+
+
 @pytest.mark.parametrize('argv', [
     ['invariant', 'v2', '--knot', 'trefoil', '--w1', str(10 ** 8)],
     ['cable', '--knot', 'trefoil', '--n', '2', '--w1', str(10 ** 7)],

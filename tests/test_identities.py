@@ -4,8 +4,9 @@ identities tie together, pinned as literals.
 The pairing table scales with the exponent of the closing tangle; the
 push value does not depend on the tangle's word in B_3 or on
 semi-regular changes of the knot; reversing a loop negates its value;
-the push value factors through v2 of the knot pushed; and the first
-values that depend on a are pinned with their polynomials.
+the push value factors through v2 of the knot pushed; the first
+values that depend on a are pinned with their polynomials; and the scan
+value has a closed form in v2, n and w1.
 """
 
 import random
@@ -186,3 +187,17 @@ def test_push_rows_sum_crossing_by_crossing(tangle, n):
                         == {c: s for c, s in want.items() if s}), (text, w1, a)
                 booked += any(want.values())
     assert booked > 0
+
+
+SCANNED = _connected_tangles(0, per_n=2)
+
+
+@pytest.mark.parametrize('tangle, n', SCANNED,
+                         ids=[f"n{n}:{','.join(map(str, w))}" for w, n in SCANNED])
+def test_scan_closed_form(tangle, n):
+    # scan(T, K, w1, n)(a) = -v2(K) * n * (n * w1 - 1) at every a, for
+    # every tangle: the trefoil, fig8, torus25 and mirror trefoil
+    for text, v in zip(KNOTS[1:], KNOT_V2[1:]):
+        for w1 in (-1, 0, 1, 2):
+            got = evaluate_all(scan_path(tangle, normalize_w1(text, w1), n))
+            assert got == {a: -v * n * (n * w1 - 1) for a in range(1, n)}, (text, w1)

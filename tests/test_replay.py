@@ -1,10 +1,10 @@
 """Differential test of movie replay.
 
-Exchange, R3, R2Create, R2Delete and a Rearrange that passes its window
-check derive the state they leave behind from the parent's Gauss data
-instead of traversing the diagram again.  After every move of every movie here,
-the replayed state must agree with the same event word built from
-scratch by the public, fully validating constructor.
+Exchange, R3, R2Create, R2Delete, R1Delete and a Rearrange that passes
+its window check splice the state they leave behind from the parent's
+instead of traversing the diagram again.  After every move of every
+movie here, the replayed state must agree with the same event word
+built from scratch by the public, fully validating constructor.
 
 A movie applies each move once and records the state it leaves
 behind.  Every recorded state must equal the one a fresh replay gives,
@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -35,9 +36,9 @@ from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import (Exchange, Move, Movie, MoveError, R1Delete,
-                               R2Create, R2Delete, R3, RayShift, Rearrange,
-                               r3_triple)
+from cocycle_lab.moves import (Exchange, Move, Movie, MoveError, R1Create,
+                               R1Delete, R2Create, R2Delete, R3, RayShift,
+                               Rearrange, r3_triple)
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
@@ -607,6 +608,75 @@ def test_tangency_errors_match_the_full_build():
         with pytest.raises(MoveError) as err:
             R2Delete(slot).apply(d)
         assert err.value.code == 'E_R2'
+
+
+# ---------------------------------------------------------------------------
+# Kink moves and what a splice shares
+
+def _random_kink(rng, d):
+    s = rng.randrange(len(d.events) + 1)
+    w = d.widths()[s] if s < len(d.events) else d.w0
+    return R1Create(s, rng.randint(1, w), rng.choice('+-'),
+                    rng.choice(('above', 'below')))
+
+
+def _kink_hosts(rng):
+    """Framed class-1 words, whose framing kinks R1Delete matches, fig8
+    closures with reversed token lists, and corpus cables with two kinks
+    grafted in."""
+    hosts = [closed_cable([], long_events(normalize_w1(text, w1)), 1)
+             for text in (LONG_TREFOIL, LONG_FIG8, LONG_TORUS27)
+             for w1 in (-2, 0, 3)]
+    hosts += _reversed_token_lists()[:3]
+    for _, d in verify.corpus_diagrams():
+        for _ in range(2):
+            d = _random_kink(rng, d).apply(d)
+        hosts.append(d)
+    return hosts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kink_walks_match_the_full_build(monkeypatch, seed):
+    # kinks are created at random and deleted wherever R1Delete finds
+    # one; every deletion validates no word, and its state is the full
+    # build of the same word
+    rng = random.Random(seed)
+    calls = _count_validations(monkeypatch)
+    deleted = 0
+    for cur in _kink_hosts(rng):
+        for k in range(12):
+            kinks = [s for s in range(len(cur.events) - 2)
+                     if _raised(R1Delete(s).check, cur) is None]
+            if kinks and rng.random() < 0.6:
+                mv = R1Delete(rng.choice(kinks))
+                calls.clear()
+                cur = mv.apply(cur)
+                assert calls['validate'] == 0, repr(mv)
+                deleted += 1
+            else:
+                mv = _random_kink(rng, cur)
+                cur = mv.apply(cur)
+            assert_matches_reference(cur, f"after move {k} {mv!r}")
+    assert deleted > 50
+
+
+def test_r3_and_exchange_share_what_they_keep():
+    # an R3 or Exchange state shares its parent's widths list, an
+    # Exchange state its Gauss diagram, and an R3 state its parent's
+    # signs and markings dicts
+    seen = Counter()
+    for movie in _transport_grid():
+        for before, mv, after in movie.steps():
+            if isinstance(mv, (R3, Exchange)):
+                seen[type(mv)] += 1
+                assert after.widths() is before.widths(), repr(mv)
+            g, h = before.gauss(), after.gauss()
+            if isinstance(mv, Exchange):
+                assert h is g, repr(mv)
+            if isinstance(mv, R3):
+                assert h.signs is g.signs, repr(mv)
+                assert h.markings() is g.markings(), repr(mv)
+    assert seen[R3] > 0 and seen[Exchange] > 0
 
 
 # ---------------------------------------------------------------------------
