@@ -39,10 +39,15 @@ BUILTIN_KNOTS = {
 
 # The most crossings a start diagram of `loops`, `eval` or `pairing` may
 # have.  A movie keeps every state, so its memory grows with its moves
-# times its word length, about as the square of the crossings.  Peak
+# times its word length.  A push loop makes moves about in proportion to
+# the crossings, so its memory grows about as their square.  Peak
 # memory of `eval --push ... --a 1` (Python 3.11, x86-64): 86 MB for
 # torus27 w1=2 n=8 (519 crossings), 436 MB for trefoil w1=1 n=18 (989),
 # 644 MB for trefoil w1=500 n=2 (2,009), 1.8 GB for w1=800 n=2 (3,209).
+# The bound does not cover the scan path, whose moves grow faster: for
+# trefoil w1=1 and tangle s1 ... s(n-1) it peaks at 35 MB at n = 6 (5,411
+# moves), 413 MB at n = 10 (48,611) and 634 MB at n = 11 (72,611), about
+# x1.5 per step of n, and n = 15 (899 crossings) is accepted.
 MAX_START_CROSSINGS = 1000
 
 
@@ -203,35 +208,34 @@ def _loop_movie(args):
         raise UsageError("--knot is required for push/rot/scan loops")
     tangle = _tangle_word(args.tangle or '')
     # all but the push loop start with the full twist after the cable
-    twist = 0 if args.push else args.n * (args.n - 1)
+    twist = 0 if args.loop == 'push_loop' else args.n * (args.n - 1)
     knot = _framed(args.knot, args.w1, start=(args.n, len(tangle) + twist))
-    if args.push:
-        return push_loop(tangle, knot, args.n)
-    if args.rot:
-        return rotation_loop(tangle, knot, args.n)
-    if args.scan:
-        return scan_path(tangle, knot, args.n)
-    if args.full_twist:
-        return push_full_twist_loop(tangle, knot, args.n)
-    raise UsageError("pick one of --push/--rot/--scan/--full-twist")
+    # looked up by name when called, so a planner patched on the module is used
+    return globals()[args.loop](tangle, knot, args.n)
 
 
 def _add_loop_flags(p):
-    p.add_argument('--push', action='store_true')
-    p.add_argument('--rot', action='store_true')
-    p.add_argument('--scan', action='store_true')
-    p.add_argument('--full-twist', dest='full_twist', action='store_true')
+    """Transport loop flags; returns the group that takes exactly one loop kind."""
+    kind = p.add_mutually_exclusive_group(required=True)
+    for flag, planner in (('--push', 'push_loop'), ('--rot', 'rotation_loop'),
+                          ('--scan', 'scan_path'),
+                          ('--full-twist', 'push_full_twist_loop')):
+        kind.add_argument(flag, dest='loop', action='store_const', const=planner)
     p.add_argument('--tangle', default='')
     p.add_argument('--knot', default=None)
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--w1', type=int, default=None)
+    return kind
+
+
+def _closed_cable(args):
+    tangle = _tangle_word(args.tangle or '')
+    return closed_cable(braid_events(tangle), long_events(
+        _framed(args.knot, args.w1, start=(args.n, len(tangle)))), args.n)
 
 
 def _cmd_cable(args):
-    tangle = _tangle_word(args.tangle or '')
-    d = closed_cable(braid_events(tangle), long_events(
-        _framed(args.knot, args.w1, start=(args.n, len(tangle)))), args.n)
-    _emit(_diagram_payload(d), args.out)
+    _emit(_diagram_payload(_closed_cable(args)), args.out)
     return 0
 
 
@@ -265,7 +269,7 @@ def _cmd_eval(args):
             _emit({'n': rep.n, 'values': {key: rep.value},
                    'moves': {key: _explain_table(rep)}}, args.out)
         else:
-            print(rep.value)
+            _emit(rep.value, args.out)
         return 0
     _emit(_report_payload(movie, explain=args.explain), args.out)
     return 0
@@ -324,10 +328,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_invariant(args):
-    tangle = _tangle_word(args.tangle or '')
-    d = closed_cable(braid_events(tangle), long_events(
-        _framed(args.knot, args.w1, start=(args.n, len(tangle)))), args.n)
-    g = d.gauss()
+    g = _closed_cable(args).gauss()
     if args.what == 'v2':
         print(v2(g))
     elif args.what == 'w1':
@@ -353,10 +354,10 @@ def build_parser():
     p.set_defaults(func=_cmd_cable)
 
     p = sub.add_parser('loops', help='emit a loop movie')
-    _add_loop_flags(p)
-    p.add_argument('--meridian', type=int, choices=sorted(GLOBAL_TYPES),
-                   default=None, help='global type of a quadruple point host')
-    p.add_argument('--cube', action='store_true')
+    kind = _add_loop_flags(p)
+    kind.add_argument('--meridian', type=int, choices=sorted(GLOBAL_TYPES),
+                      default=None, help='global type of a quadruple point host')
+    kind.add_argument('--cube', action='store_true')
     p.add_argument('--order', type=int, nargs=3, default=(1, 2, 3))
     p.add_argument('--windings', type=int, nargs='+', default=None)
     p.add_argument('--flags', nargs=3, default=('+', '+', '+'))

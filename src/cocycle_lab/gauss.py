@@ -243,6 +243,8 @@ def _ascending_one_component(seq, subset):
 def c2k(diagram, k):
     """Coefficient of z^(2k) in the Conway polynomial, counted over
     ascending one-component arrow subsets of size 2k."""
+    if k < 0:
+        raise ValueError(f"c2k needs k >= 0, got {k}")
     if k == 0:
         return 1
     seq = _crossing_sequence(diagram)

@@ -18,7 +18,7 @@ from .cabling import (LONG_FIG8, LONG_MIRROR_TREFOIL, LONG_TORUS25,
                       normalize_w1)
 # evaluate stays bound here: perfbench/selftest.py traces it through verify
 from .cocycle import evaluate, evaluate_all  # noqa: F401
-from .discriminant import (GLOBAL_TYPES, HostError, commutation_loop,
+from .discriminant import (GLOBAL_TYPES, commutation_loop,
                            embedded_tangency_loops, meridian_loop, quad_host,
                            random_contractible_loop, tangency_hosts,
                            tangency_loop)
@@ -112,10 +112,7 @@ def suite_tetrahedron(params=None):
     for n in params.get("ns", (2, 3, 4)):
         for gt, order in GLOBAL_TYPES.items():
             for ws in _windings(4, n):
-                try:
-                    host, slot = quad_host(order, ws, n)
-                except HostError:
-                    continue
+                host, slot = quad_host(order, ws, n)
                 movie = meridian_loop(host, slot)
                 _check_loop_zero(rep, movie, f"type {gt} n={n} w={ws}")
     return rep
@@ -127,15 +124,13 @@ def suite_cube(params=None):
     for n in params.get("ns", (2, 3)):
         for order in itertools.permutations((1, 2, 3)):
             for ws in _windings(3, n):
-                try:
-                    variants = tangency_hosts(order, ws, n)
-                except (HostError, DiagramError):
-                    continue
-                for flags, host, slot in variants:
+                for flags, host, slot in tangency_hosts(order, ws, n):
                     try:
                         movie = tangency_loop(host, slot, flags[0])
-                    except (MoveError, DiagramError):
+                    except MoveError as exc:
                         # cyclic height combinations have no planar stratum
+                        if exc.code != 'E_R3' or 'cyclic' not in str(exc):
+                            raise
                         continue
                     _check_loop_zero(rep, movie, f"site {order} n={n} w={ws} f={flags}")
     # tangency sites embedded in the cable fixtures carry real weights

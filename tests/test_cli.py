@@ -16,6 +16,14 @@ def test_eval_push_prints_value(capsys):
     assert capsys.readouterr().out.strip() == '1'
 
 
+def test_eval_value_goes_to_out(tmp_path, capsys):
+    out = tmp_path / 'v.txt'
+    assert run(['eval', '--push', '--tangle', 's1', '--knot', 'trefoil',
+                '--n', '2', '--w1', '1', '--a', '1', '--out', str(out)]) == 0
+    assert capsys.readouterr() == ('', '')
+    assert out.read_text() == '1\n'
+
+
 def test_eval_report_json(capsys):
     rc = run(['eval', '--push', '--tangle', 's1', '--knot', 'torus25',
               '--n', '2', '--w1', '2'])
@@ -227,6 +235,12 @@ def _io_error(argv, capsys):
     return err
 
 
+def test_negative_k_is_refused_with_a_coded_message(capsys):
+    assert run(['invariant', 'c2k', '--knot', 'trefoil', '--k', '-1']) == 2
+    assert capsys.readouterr() == (
+        '', 'cocycle-lab: E_ARGS: c2k needs k >= 0, got -1\n')
+
+
 def test_unwritable_out_is_a_coded_error(tmp_path, capsys):
     missing = tmp_path / 'no-such-dir' / 'x.json'
     _io_error(['cable', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',
@@ -387,6 +401,36 @@ def nothing_built(monkeypatch):
                  'push_full_twist_loop', 'pairing', 'normalize_w1',
                  'meridian_loop', 'tangency_loop'):
         monkeypatch.setattr(cli, name, reached)
+
+
+_KINDS = {'--push': [], '--rot': [], '--scan': [], '--full-twist': [],
+          '--meridian': ['1'], '--cube': []}
+_ONE_LOOP = ('one of the arguments --push --rot --scan --full-twist{} is '
+             'required')
+
+
+@pytest.mark.parametrize('command, kinds, message', [
+    ('eval', ['--push', '--rot'], 'argument --rot: not allowed with argument --push'),
+    ('eval', ['--full-twist', '--scan'],
+     'argument --scan: not allowed with argument --full-twist'),
+    ('eval', [], _ONE_LOOP.format('')),
+    ('loops', ['--meridian', '--push'],
+     'argument --push: not allowed with argument --meridian'),
+    ('loops', ['--rot', '--cube'], 'argument --cube: not allowed with argument --rot'),
+    ('loops', [], _ONE_LOOP.format(' --meridian --cube')),
+])
+def test_a_command_line_names_exactly_one_loop_kind(
+        nothing_built, monkeypatch, capsys, command, kinds, message):
+    # refused by the parser: no knot is read and no host is built
+    def reached(*args):
+        raise AssertionError('an input was read')
+
+    for name in ('_knot_text', 'quad_host', 'tangency_host'):
+        monkeypatch.setattr(cli, name, reached)
+    argv = [command] + [arg for kind in kinds for arg in [kind] + _KINDS[kind]]
+    argv += ['--tangle', 's1', '--knot', 'trefoil', '--n', '2', '--w1', '1']
+    assert run(argv + (['--a', '1'] if command == 'eval' else [])) == 2
+    assert capsys.readouterr() == ('', f'cocycle-lab: E_ARGS: {message}\n')
 
 
 @pytest.mark.parametrize('flag', ('--push',) + TWIST_LOOPS)

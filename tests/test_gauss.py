@@ -60,6 +60,11 @@ def test_c2k_higher_coefficient():
     assert c2k(closure(LONG_FIG8), 2) == 0
 
 
+def test_c2k_rejects_a_negative_k():
+    with pytest.raises(ValueError, match=r'^c2k needs k >= 0, got -1$'):
+        c2k(closure(LONG_TREFOIL), -1)
+
+
 def test_c2k_rejects_cables():
     with pytest.raises(ValueError):
         c2k(cable(LONG_TREFOIL, [1], 2), 1)

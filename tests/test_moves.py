@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cocycle_lab import moves, verify
-from cocycle_lab.annular import AnnularDiagram, MorseEvent
+from cocycle_lab.annular import AnnularDiagram, DiagramError, MorseEvent
 from cocycle_lab.cabling import (LONG_MIRROR_TREFOIL, LONG_TREFOIL,
                                  braid_events, closed_cable, long_events,
                                  normalize_w1)
@@ -117,6 +117,20 @@ def test_rearrange_allows_distant_swap():
     good = evs[:i] + [evs[i + 1], evs[i]] + evs[i + 2:]
     d2 = Rearrange(0, len(evs), tuple(good)).apply(d)
     assert len(d2.events) == len(d.events)
+
+
+def test_rearrange_ending_at_another_width_gets_the_full_builds_refusal():
+    d = two_cable()
+    evs = d.events
+    s = next(i for i, ev in enumerate(evs) if ev.kind == 'U')
+    mv = Rearrange(s, 1, ())    # drops a cup: the window ends two strands short
+    assert mv.window_widths(d) is None
+    with pytest.raises(DiagramError) as full:
+        AnnularDiagram(d.n, evs[:s] + evs[s + 1:], w0=d.w0)
+    with pytest.raises(DiagramError) as err:
+        mv.apply(d)
+    assert str(err.value) == str(full.value)
+    assert err.value.code == 'E_WIDTH'
 
 
 def test_movie_closure_detection():

@@ -78,6 +78,21 @@ def test_loop_check_counts_one_check_per_a():
     assert [(f.case, f.detail) for f in rep.failures] == [('path', 'loop does not close')]
 
 
+def test_loop_check_failures_keep_their_movie():
+    from cocycle_lab.cabling import LONG_TREFOIL, normalize_w1
+    from cocycle_lab.loops import push_loop
+    _, path = _loop_and_open_path()
+    push = push_loop([1], normalize_w1(LONG_TREFOIL, 1), 2)
+    rep = verify.SuiteReport('t')
+    verify._check_loop_zero(rep, path, 'path')
+    assert rep.checks == 0
+    verify._check_loop_zero(rep, push, 'push')
+    assert rep.checks == 1
+    assert [(f.suite, f.case, f.detail) for f in rep.failures] == [
+        ('t', 'path', 'loop does not close'), ('t', 'push', 'value 1 at a=1')]
+    assert [f.movie for f in rep.failures] == [path, push]
+
+
 def test_loop_check_reports_an_open_path_before_an_evaluation_error(monkeypatch):
     from cocycle_lab import cocycle
 
@@ -137,3 +152,36 @@ def test_cube_suite_validates_each_site_once(monkeypatch):
                 for _ in verify._windings(3, n))
     assert sites == 96
     assert len(calls) <= sites + corpus
+
+
+@pytest.mark.parametrize('suite, builder', [('tetrahedron', 'quad_host'),
+                                            ('cube', 'tangency_hosts')])
+def test_a_host_that_cannot_be_built_fails_the_run(monkeypatch, capsys, suite,
+                                                   builder):
+    # no suite skips an input it generated: the refusal reaches the CLI
+    from cocycle_lab.cli import run
+    from cocycle_lab.discriminant import HostError
+
+    def broken(*args):
+        raise HostError('no host')
+
+    monkeypatch.setattr(verify, builder, broken)
+    with pytest.raises(HostError):
+        verify.run_suite(suite, params={'ns': (2,)})
+    assert run(['verify', '--suite', suite, '--n', '2']) == 2
+    assert capsys.readouterr() == ('', 'cocycle-lab: E_HOST: no host\n')
+
+
+@pytest.mark.parametrize('error', [
+    ('E_R3', 'no triple point pattern at slot 0'),
+    ('E_R2', 'no cancelling pair at slot 0'),
+])
+def test_cube_suite_skips_only_cyclic_heights(monkeypatch, error):
+    from cocycle_lab.moves import MoveError
+
+    def refused(*args):
+        raise MoveError(*error)
+
+    monkeypatch.setattr(verify, 'tangency_loop', refused)
+    with pytest.raises(MoveError, match=error[1]):
+        verify.run_suite('cube', params={'ns': (2,)})
