@@ -245,9 +245,9 @@ def c2k(diagram, k):
     ascending one-component arrow subsets of size 2k."""
     if k < 0:
         raise ValueError(f"c2k needs k >= 0, got {k}")
+    seq = _crossing_sequence(diagram)
     if k == 0:
         return 1
-    seq = _crossing_sequence(diagram)
     cids = sorted({cid for _, cid in seq})
     total = 0
     for subset in itertools.combinations(cids, 2 * k):

@@ -8,15 +8,16 @@ over strand-disjoint events as plain rearrangements, turns around
 cup/cap families by a reflection, crosses each n*n crossing block by a
 run of exchanges and triple point moves, and crosses the ray by shifts.
 
-The companion circuit of the underlying long word dictates the order of
-these encounters; it is simulated directly on the uncabled word.
+Each step is decided by the cable unit the tangle faces and by the
+strand position of the tangle's bundle, so the slide follows the
+companion circuit of the long word without simulating it separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annular import AnnularDiagram, MorseEvent, strand_step
+from .annular import AnnularDiagram, MorseEvent
 from .cabling import (braid_events, closed_cable, full_twist_word, long_events,
                       n_cable, renumber)
 from .moves import Exchange, Movie, R3, RayShift, Rearrange
@@ -27,58 +28,22 @@ class PlannerError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Companion circuit of a long knot word
-
-def companion_itinerary(events, start=None):
-    """Encounter sequence of the long knot circuit through its own word.
-
-    The state is (slot, strand position, direction); slot i sits between
-    events i-1 and i.  Yields records referring to event indices:
-
-        ('hop', i)            strand-disjoint passage
-        ('block', i, role)    crossing passage, role 'lower'/'upper'
-        ('turn', i, role)     reversal at a cap (forward) or cup (backward)
-
-    The walk starts just after the ray on the incoming strand and stops
-    on reaching the ray again, in either direction.
-    """
-    m = len(events)
-    t, p, d = start or (0, 1, 1)
-    for _ in range(100 * (m + 1) + 100):
-        if t == (m if d == 1 else 0):
-            return
-        i_ev = t if d == 1 else t - 1
-        ev = events[i_ev]
-        lower = p == ev.pos
-        leaving, p, line = strand_step(ev, d == 1, p)
-        if line:
-            yield ('block', i_ev, 'lower' if lower else 'upper')
-        elif leaving != (d == 1):
-            yield ('turn', i_ev, 'lower' if lower else 'upper')
-        else:
-            yield ('hop', i_ev)
-        t, d = (i_ev + 1, 1) if leaving else (i_ev, -1)
-    raise PlannerError("companion circuit does not close")
-
-
-# ---------------------------------------------------------------------------
 # Cabled word as a unit list
 
 @dataclass
 class _Unit:
     kind: str       # 'mover', 'tangle', 'cup', 'cap', 'block'
-    orig: int       # index of the source event in the long word, or -1
     length: int
-    q: int          # base strand position of the unit, 0 if untracked
+    q: int          # base strand position of the unit
 
 
 def _cable_units(levs, n):
     units = []
-    for i, ev in enumerate(levs):
+    for ev in levs:
         q = n * (ev.pos - 1) + 1
         kind = {'U': 'cup', 'A': 'cap', 'X': 'block'}[ev.kind]
         length = n if ev.kind in 'UA' else n * n
-        units.append(_Unit(kind, i, length, q))
+        units.append(_Unit(kind, length, q))
     return units
 
 
@@ -121,8 +86,6 @@ class _Transport:
         v = self.units[self.mi + self.d]
         span = 2 * self.n
         if v.kind == 'block':
-            if not (self.b + self.n <= v.q or self.b >= v.q + span):
-                raise PlannerError("hop across a block the mover touches")
             shift, cut = 0, 0
         elif (v.kind == 'cup') == (self.d == 1):
             # past a cup rightward or a cap leftward the mover moves up
@@ -140,12 +103,7 @@ class _Transport:
         self.b = adj(self.b)
 
     def turn(self):
-        v = self.units[self.mi + self.d]
-        if v.kind != ('cap' if self.d == 1 else 'cup'):
-            raise PlannerError(f"turn into {v.kind}")
-        q, n = v.q, self.n
-        if self.b not in (q, q + n):
-            raise PlannerError("turn from a stray bundle")
+        q, n = self.units[self.mi + self.d].q, self.n
         # the window holds the turnback too: the mover alone reconnects
         # its strands differently at the window boundary
         self._rewrite_pair([MorseEvent('X', 2 * q + 2 * n - 2 - e.pos, e.over, e.cid)
@@ -153,15 +111,11 @@ class _Transport:
         self.b = q + n if self.b == q else q
         self.d = -self.d
 
-    def block_pass(self, role):
+    def block_pass(self):
         other = self.mi + self.d
         v = self.units[other]
-        if v.kind != 'block':
-            raise PlannerError(f"block pass into {v.kind}")
         n, q = self.n, v.q
-        want_lower = role == 'lower'
-        if self.b != (q if want_lower else q + n):
-            raise PlannerError("mover bundle does not match its circuit role")
+        want_lower = self.b == q
         # choose the factorisation of the block the slide threads through
         if (self.d == 1) == want_lower:
             self._refactor_block(other, 'runs')
@@ -234,18 +188,22 @@ class _Transport:
 
     # -- driver -------------------------------------------------------
 
-    def follow(self, itinerary):
-        for rec in itinerary:
-            other = self.units[self.mi + self.d]
-            if other.orig != rec[1]:
-                raise PlannerError(
-                    f"desync: facing unit {other.orig}, circuit says {rec}")
-            if rec[0] == 'hop':
-                self.hop()
-            elif rec[0] == 'turn':
+    def follow(self):
+        """Slide the mover along the cable until it faces the word end or
+        the closing tangle.  The mover crosses a block, or turns at a cap
+        (rightward) or cup (leftward), when its bundle is one of the two
+        that unit joins; past anything else it hops."""
+        while 0 <= self.mi + self.d < len(self.units):
+            v = self.units[self.mi + self.d]
+            if v.kind == 'tangle':
+                return
+            joined = self.b in (v.q, v.q + self.n)
+            if joined and v.kind == 'block':
+                self.block_pass()
+            elif joined and v.kind == ('cap' if self.d == 1 else 'cup'):
                 self.turn()
             else:
-                self.block_pass(rec[2])
+                self.hop()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +219,9 @@ def push_loop(tangle_word, long_text, n):
     levs = long_events(long_text)
     tangle = braid_events(tangle_word)
     start = closed_cable(tangle, levs, n)
-    units = [_Unit('mover', -1, len(tangle), 1)] + _cable_units(levs, n)
+    units = [_Unit('mover', len(tangle), 1)] + _cable_units(levs, n)
     tr = _Transport(start, units, 1)
-    tr.follow(companion_itinerary(levs))
+    tr.follow()
     tr.ray_pass()
     tr.normalize_blocks()
     shape = [(e.kind, e.pos, e.over) for e in start.events]
@@ -273,17 +231,17 @@ def push_loop(tangle_word, long_text, n):
 
 
 def _twist_transport(tangle_word, long_text, n, d):
-    """The long word's events, and a transport of the full twist that
-    follows the n-cable of [tangle][n-cable][full twist] in direction d."""
+    """A transport of the full twist that follows the n-cable of
+    [tangle][n-cable][full twist] in direction d."""
     levs = long_events(long_text)
     tangle = braid_events(tangle_word)
     cable, _ = n_cable(levs, n)
     twist = braid_events([g for g in full_twist_word(n)])
     events = renumber(list(tangle) + cable + twist)
     start = AnnularDiagram(n, events, w0=n)
-    units = ([_Unit('tangle', -1, len(tangle), 1)] + _cable_units(levs, n)
-             + [_Unit('mover', -1, len(twist), 1)])
-    return levs, _Transport(start, units, d)
+    units = ([_Unit('tangle', len(tangle), 1)] + _cable_units(levs, n)
+             + [_Unit('mover', len(twist), 1)])
+    return _Transport(start, units, d)
 
 
 def _check_resplit(tangle_word, n):
@@ -308,23 +266,18 @@ def _relabel_through_tangle(tr):
     tu = tr.units[ti]
     if tu.kind != 'tangle':
         raise PlannerError("twist is not facing the tangle")
-    tr.units[ti] = _Unit('mover', -1, tr.mover().length, tu.q)
-    tr.units[tr.mi] = _Unit('tangle', -1, tu.length, tu.q)
+    tr.units[ti] = _Unit('mover', tr.mover().length, tu.q)
+    tr.units[tr.mi] = _Unit('tangle', tu.length, tu.q)
     tr.mi = ti
-
-
-def _scan(levs, tr):
-    """Sweep the full twist leftward through the cable, up to the tangle."""
-    tr.follow(companion_itinerary(levs, start=(len(levs), 1, -1)))
 
 
 def rotation_loop(tangle_word, long_text, n):
     """Rotation of the solid torus around its core, as a loop of
     diagrams: the full twist representing the framing curl slides once
     around the satellite against the orientation of the core."""
-    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
+    tr = _twist_transport(tangle_word, long_text, n, -1)
     _check_resplit(tangle_word, n)
-    _scan(levs, tr)
+    tr.follow()
     _relabel_through_tangle(tr)
     tr.ray_pass()
     return tr.movie
@@ -333,12 +286,12 @@ def rotation_loop(tangle_word, long_text, n):
 def push_full_twist_loop(tangle_word, long_text, n):
     """The inverse rotation: the full twist is pushed once around along
     the core orientation."""
-    levs, tr = _twist_transport(tangle_word, long_text, n, 1)
+    tr = _twist_transport(tangle_word, long_text, n, 1)
     _check_resplit(tangle_word, n)
     tr.ray_pass()
     _relabel_through_tangle(tr)
     # facing the cable now, still moving rightward
-    tr.follow(companion_itinerary(levs))
+    tr.follow()
     return tr.movie
 
 
@@ -364,6 +317,6 @@ def scan_path(tangle_word, long_text, n):
     """The open half of the rotation loop: the full twist sweeps through
     the cable from its far end back to the tangle, without crossing the
     ray.  Not closed; its value already equals the rotation value."""
-    levs, tr = _twist_transport(tangle_word, long_text, n, -1)
-    _scan(levs, tr)
+    tr = _twist_transport(tangle_word, long_text, n, -1)
+    tr.follow()
     return tr.movie

@@ -37,6 +37,18 @@ def test_event_validation():
     assert repr(MorseEvent('U', 1)) == "MorseEvent(kind='U', pos=1, over='', cid=-1)"
 
 
+def test_event_copies_and_pickles_are_equal_immutable_events():
+    import copy
+    import pickle
+
+    ev = MorseEvent('X', 2, '-', 7)
+    for twin in (copy.copy(ev), copy.deepcopy(ev), pickle.loads(pickle.dumps(ev))):
+        assert twin.__class__ is MorseEvent and twin == ev
+        with pytest.raises(AttributeError):
+            twin.pos = 3
+    assert pickle.loads(pickle.dumps(MorseEvent('U', 1))) == MorseEvent('U', 1)
+
+
 def test_parse_format_roundtrip():
     d = parse_morse(LONG_TREFOIL, n=1, w0=1)
     assert format_morse(d) == LONG_TREFOIL

@@ -241,6 +241,17 @@ def test_negative_k_is_refused_with_a_coded_message(capsys):
         '', 'cocycle-lab: E_ARGS: c2k needs k >= 0, got -1\n')
 
 
+@pytest.mark.parametrize('k', ['0', '1'])
+def test_c2k_refuses_a_cable_for_every_k(capsys, k):
+    # the class is checked before the k = 0 coefficient is returned
+    argv = ['invariant', 'c2k', '--knot', 'trefoil', '--tangle', 's1', '--n', '2']
+    assert run(argv + ['--k', k]) == 2
+    assert capsys.readouterr() == (
+        '', 'cocycle-lab: E_ARGS: Conway-style counts need a class-1 diagram\n')
+    assert run(['invariant', 'c2k', '--knot', 'trefoil', '--k', k]) == 0
+    assert capsys.readouterr() == ('1\n', '')
+
+
 def test_unwritable_out_is_a_coded_error(tmp_path, capsys):
     missing = tmp_path / 'no-such-dir' / 'x.json'
     _io_error(['cable', '--tangle', 's1', '--knot', 'trefoil', '--n', '2',

@@ -67,6 +67,8 @@ def test_polynomial_text():
     assert polynomial_text([Fraction(1), Fraction(-3), Fraction(2)]) \
         == "1 + -3*a + 2*a^2"
     assert polynomial_text([Fraction(0)]) == "0"
+    # a zero middle coefficient is left out
+    assert polynomial_text([Fraction(-1), Fraction(0), Fraction(3)]) == "-1 + 3*a^2"
 
 
 def test_evaluate_all_covers_parameters():

@@ -66,8 +66,9 @@ def test_c2k_rejects_a_negative_k():
 
 
 def test_c2k_rejects_cables():
-    with pytest.raises(ValueError):
-        c2k(cable(LONG_TREFOIL, [1], 2), 1)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match='^Conway-style counts need a class-1 diagram$'):
+            c2k(cable(LONG_TREFOIL, [1], 2), k)
 
 
 def test_matched_pairs_have_required_markings():

@@ -105,16 +105,121 @@ ITINERARIES = {
 }
 
 
+def _companion_walk(events, start=(0, 1, 1)):
+    """Reference for the planner's steps: the companion circuit of a long
+    knot word, walked strand by strand through the uncabled word.
+
+    The state is (slot, strand position, direction); slot i sits between
+    events i-1 and i.  Returns records referring to event indices:
+
+        ('hop', i)            strand-disjoint passage
+        ('block', i, role)    crossing passage, role 'lower'/'upper'
+        ('turn', i, role)     reversal at a cap (forward) or cup (backward)
+
+    The walk starts just after the ray on the incoming strand and stops
+    on reaching the ray again, in either direction.
+    """
+    from cocycle_lab.annular import strand_step
+    m = len(events)
+    t, p, d = start
+    out = []
+    while t != (m if d == 1 else 0):
+        assert len(out) <= 2 * (m + 1) ** 2, "companion circuit does not close"
+        i = t if d == 1 else t - 1
+        role = 'lower' if p == events[i].pos else 'upper'
+        leaving, p, line = strand_step(events[i], d == 1, p)
+        if line:
+            out.append(('block', i, role))
+        elif leaving != (d == 1):
+            out.append(('turn', i, role))
+        else:
+            out.append(('hop', i))
+        t, d = (i + 1, 1) if leaving else (i, -1)
+    return out
+
+
+@pytest.fixture
+def planner_steps(monkeypatch):
+    """The steps the transport planner takes, recorded as walk records:
+    the facing unit is named by its index among the cable units."""
+    from cocycle_lab.loops import _Transport
+    steps = []
+
+    def recording(name, step):
+        def wrapped(tr):
+            # a wrong step rule can walk forever: stop past the walk's bound
+            assert len(steps) <= 2 * (len(tr.units) + 1) ** 2, "the slide does not end"
+            v = tr.units[tr.mi + tr.d]
+            cable = [u for u in tr.units if u.kind not in ('mover', 'tangle')]
+            # by identity: units of equal blocks compare equal
+            i = [id(u) for u in cable].index(id(v))
+            role = 'lower' if tr.b == v.q else 'upper'
+            steps.append(('hop', i) if name == 'hop' else (name, i, role))
+            step(tr)
+        return wrapped
+
+    for name, attr in (('hop', 'hop'), ('turn', 'turn'), ('block', 'block_pass')):
+        monkeypatch.setattr(_Transport, attr, recording(name, getattr(_Transport, attr)))
+    return steps
+
+
+def _walked(steps, plan, text, n):
+    steps.clear()
+    plan(list(range(1, n)), text, n)
+    return list(steps)
+
+
 @pytest.mark.parametrize('name', sorted(ITINERARIES))
-def test_companion_itinerary_records(name):
+def test_companion_itinerary_records(planner_steps, name):
+    # the push follows the circuit forward, the scan backward
     from cocycle_lab.cabling import LONG_FIG8, long_events
-    from cocycle_lab.loops import companion_itinerary
     text = {'trefoil': LONG_TREFOIL, 'fig8': LONG_FIG8,
             'torus25': LONG_TORUS25}[name]
     levs = long_events(text)
     forward, backward = ITINERARIES[name]
-    assert list(companion_itinerary(levs)) == forward
-    assert list(companion_itinerary(levs, start=(len(levs), 1, -1))) == backward
+    assert _companion_walk(levs) == forward
+    assert _companion_walk(levs, start=(len(levs), 1, -1)) == backward
+    assert _walked(planner_steps, push_loop, text, 2) == forward
+    assert _walked(planner_steps, scan_path, text, 2) == backward
+
+
+def _random_long_word(rng, size):
+    """A seeded long knot word of at least size events and at most width
+    5: its single strand enters and leaves at position 1."""
+    from cocycle_lab.annular import AnnularDiagram, MorseEvent, format_morse
+    from cocycle_lab.gauss import DiagramError
+    while True:
+        events, w = [], 1
+        while len(events) < size or w > 1:
+            kind = rng.choice((['U'] if w < 5 else []) + (['A', 'X', 'X'] if w > 1 else []))
+            if kind == 'U':
+                events.append(MorseEvent('U', rng.randint(1, w + 1)))
+                w += 2
+            elif kind == 'A':
+                events.append(MorseEvent('A', rng.randint(1, w - 1)))
+                w -= 2
+            else:
+                events.append(MorseEvent('X', rng.randint(1, w - 1), rng.choice('+-'),
+                                         len(events) + 1))
+        try:
+            return format_morse(AnnularDiagram(1, events, w0=1))
+        except DiagramError:
+            pass        # a closed component split off
+
+
+def test_planner_steps_follow_the_companion_walk_on_random_words(planner_steps):
+    import random
+
+    from cocycle_lab.cabling import long_events
+    rng = random.Random(23)
+    for _ in range(40):
+        text = _random_long_word(rng, rng.randint(1, 14))
+        levs = long_events(text)
+        forward = _companion_walk(levs)
+        backward = _companion_walk(levs, start=(len(levs), 1, -1))
+        for n in (2, 3):
+            assert _walked(planner_steps, push_loop, text, n) == forward, text
+            assert _walked(planner_steps, scan_path, text, n) == backward, text
 
 
 def test_planner_movies_are_pinned():
@@ -201,7 +306,7 @@ def test_refactored_blocks_match_the_label_reference(n):
     from cocycle_lab.loops import _Transport, _Unit, _cable_units
     levs = long_events(TREFOIL1)
     start = closed_cable(braid_events(range(1, n)), levs, n)
-    units = [_Unit('mover', -1, n - 1, 1)] + _cable_units(levs, n)
+    units = [_Unit('mover', n - 1, 1)] + _cable_units(levs, n)
     ui = next(i for i, u in enumerate(units) if u.kind == 'block')
     s, q = sum(u.length for u in units[:ui]), units[ui].q
     block = start.events[s:s + n * n]

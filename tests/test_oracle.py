@@ -56,3 +56,4 @@ def test_crossing_cap():
 def test_poly_text():
     assert poly_text({0: 1, 2: 3, 4: 1}) == "1 + 3*z^2 + z^4"
     assert poly_text({0: 1}) == "1"
+    assert poly_text({}) == "0"

@@ -54,6 +54,45 @@ def test_semi_regular_variant_outputs(seed, want):
     assert verify.semi_regular_variant([1], verify.CABLE_FIXTURES[0][2], seed) == want
 
 
+def test_commutation_budget_stops_the_suite():
+    rep = verify.suite_commutation({'budget': 10})
+    assert rep.passed and rep.checks == 10
+
+
+def test_scan_invariance_reports_a_disagreeing_variant(monkeypatch):
+    calls = []
+
+    def counting(movie):
+        calls.append(movie)
+        return {1: len(calls)}
+
+    monkeypatch.setattr(verify, 'evaluate_all', counting)
+    rep = verify.run_suite('scan-invariance')
+    assert rep.checks == 60 and len(rep.failures) == 60
+    assert rep.failures[0] == verify.Failure(
+        'scan-invariance', 'trefoil seed=0', '{1: 2} != {1: 1}')
+
+
+def test_prop1_reports_a_lift_that_changes_v2(monkeypatch):
+    from cocycle_lab.annular import AnnularDiagram
+    unknot = AnnularDiagram(1, [], w0=1).gauss()
+    monkeypatch.setattr(verify, 'lift_to_cover', lambda g: unknot)
+    rep = verify.run_suite('prop1')
+    assert rep.checks == 4
+    assert [(f.case, f.detail) for f in rep.failures] == [
+        ('trefoil/v2', '2 != 0 after lift'), ('torus25/v2', '6 != 0 after lift'),
+        ('fig8/v2', '-2 != 0 after lift'), ('trefoil3/v2', '3 != 0 after lift')]
+
+
+def test_ckr_oracle_reports_a_disagreeing_skein_count(monkeypatch):
+    monkeypatch.setattr(verify, 'conway', lambda d: {0: 1, 2: 100, 4: 100})
+    rep = verify.run_suite('ckr-oracle')
+    assert rep.checks == 22 and len(rep.failures) == 22
+    assert rep.failures[4:6] == [
+        verify.Failure('ckr-oracle', 'trefoil/z2', '1 != conway 100'),
+        verify.Failure('ckr-oracle', 'trefoil/z4', '0 != conway 100')]
+
+
 def test_report_summary_text():
     rep = verify.run_suite('prop1')
     assert 'prop1' in rep.summary()
