@@ -325,7 +325,8 @@ class AnnularDiagram:
         """The state left when the count events at slot are replaced by
         new, built without validation: only for edits whose Gauss data
         follows from this validated state's by a local edit (the local
-        moves, the flag variants of a tangency host).  It keeps n and w0,
+        moves, the flag variants of a tangency host, and a ray shift of a
+        crossing, which rotates the whole word).  It keeps n and w0,
         and shares this state's Gauss diagram unless gauss is given, and
         its widths unless widths, those of the new window, is given."""
         d = AnnularDiagram.__new__(AnnularDiagram)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gauss import match_n0_pairs
+from .gauss import match_n0_pairs, zero_chords
 from .moves import R3, MoveError, r3_token_pairs
 
 
@@ -105,15 +105,16 @@ def f_crossings(g, triple, n):
             and 0 < (pos[('f', cid)] - start) % size < span]
 
 
-def w2_p(g, triple, n):
+def w2_p(g, triple, n, bottoms=None):
     """Arrow count at the move: interleaved (n, 0) pairs whose n-crossing
-    is an f-crossing of the move."""
-    return sum(w for _, _, w in match_n0_pairs(g, n, f_crossings(g, triple, n)))
+    is an f-crossing of the move.  bottoms: as for match_n0_pairs."""
+    return sum(w for _, _, w in match_n0_pairs(g, n, f_crossings(g, triple, n), bottoms))
 
 
-def w2_hm(g, triple, n):
-    """Arrow count of the hm crossing itself: its (n, 0) pairings."""
-    return sum(w for _, _, w in match_n0_pairs(g, n, (triple.hm,)))
+def w2_hm(g, triple, n, bottoms=None):
+    """Arrow count of the hm crossing itself: its (n, 0) pairings.
+    bottoms: as for match_n0_pairs."""
+    return sum(w for _, _, w in match_n0_pairs(g, n, (triple.hm,), bottoms))
 
 
 def l_p(g, triple, n, mark_needed):
@@ -179,8 +180,11 @@ def _rows(state, slot, index, n, avals):
                               contrib=-t.sign * lp * w2hm * t.w_hm,
                               lp=lp, w2hm=w2hm)
     elif md in rows:                # (a, n, a) at a = md only
-        w2p = w2_p(g, t, n)
-        w2hm = w2_hm(g, t, n)
+        # both counts pair with the same marking-0 chords; classify_r3
+        # has computed the markings
+        bottoms = zero_chords(g, g._marks)
+        w2p = w2_p(g, t, n, bottoms)
+        w2hm = w2_hm(g, t, n, bottoms)
         lp = l_p(g, t, n, n)
         rows[md] = MoveRow(index=index, triple=t,
                            contrib=t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm),

@@ -50,8 +50,10 @@ class GaussDiagram:
     instead: a triple point move (transposed) copies the parent's index
     and moves six entries of it, and shares the parent's signs and
     markings; a tangency move (edited) indexes its tokens afresh and
-    copies the parent's markings.  So a chain of local moves runs the
-    markings prefix sum once.
+    copies the parent's markings.  A ray shift of a crossing (ray_moved)
+    moves two ray passages past that crossing's tokens, indexes its
+    tokens afresh and shares the parent's signs and markings.  So a chain
+    of such moves runs the markings prefix sum once.
 
     The last triangle asked of a diagram (moves.r3_token_pairs) is kept,
     keyed by its three crossing ids: R3.apply finds it once and
@@ -136,6 +138,17 @@ class GaussDiagram:
                     for cid in signs}
         return g
 
+    def ray_moved(self, tokens):
+        """The Gauss diagram a ray shift of a crossing leaves behind:
+        tokens is this list with ray passages moved past crossing tokens,
+        rotated to its new anchor.  Moving the cut changes no sign and no
+        marking, so the new diagram shares the parent's signs, and its
+        markings dict once computed; the token positions are indexed
+        afresh."""
+        g = GaussDiagram(tokens, self.signs)
+        g._marks = self._marks
+        return g
+
     def in_open_arc(self, idx, start, stop):
         """Is token index idx strictly inside the arc start -> stop?"""
         size = len(self.tokens)
@@ -160,7 +173,14 @@ def w1(diagram):
     return sum(diagram.signs[c] for c in diagram.signs if marks[c] == 1)
 
 
-def match_n0_pairs(diagram, n=None, tops=None):
+def zero_chords(diagram, marks):
+    """(cid, head index, foot index) of every crossing whose marking in
+    marks, the diagram's markings, is 0."""
+    pos = diagram._pos
+    return [(c, pos[('h', c)], pos[('f', c)]) for c in diagram.signs if marks[c] == 0]
+
+
+def match_n0_pairs(diagram, n=None, tops=None, bottoms=None):
     """All interleaved pairs (q_n, q_0) of a marking-n and a marking-0
     crossing whose endpoints sit in cyclic order
 
@@ -168,13 +188,14 @@ def match_n0_pairs(diagram, n=None, tops=None):
 
     Yields (cid_n, cid_0, weight) with weight the product of signs.
     tops, if given, limits q_n to those of its crossings that have
-    marking n.
+    marking n.  bottoms, if given, is zero_chords(diagram, markings),
+    built once for several calls on one diagram.
     """
     if n is None:
         n = diagram.homology_class
     marks, signs, pos = diagram.markings(), diagram.signs, diagram._pos
     size = len(diagram.tokens)
-    bot = [(c, pos[('h', c)], pos[('f', c)]) for c in signs if marks[c] == 0]
+    bot = zero_chords(diagram, marks) if bottoms is None else bottoms
     out = []
     for qn in signs if tops is None else tops:
         if marks[qn] != n:

@@ -55,30 +55,38 @@ class _Transport:
         self.n = diagram.n
         self.units = units
         self.mi = next(i for i, u in enumerate(units) if u.kind == 'mover')
+        self.s = sum(u.length for u in units[:self.mi])     # the mover's slot
         self.b = 1              # base strand position of the mover bundle
         self.d = d              # +1 rightward along the word, -1 leftward
-
-    def slot_of(self, ui):
-        return sum(u.length for u in self.units[:ui])
 
     def mover(self):
         return self.units[self.mi]
 
     def mover_events(self):
-        s = self.slot_of(self.mi)
-        return list(self.movie.final().events[s:s + self.mover().length])
+        return list(self.movie.final().events[self.s:self.s + self.mover().length])
+
+    def _facing_slot(self):
+        """The slot of the unit the mover faces."""
+        if self.d == 1:
+            return self.s + self.mover().length
+        return self.s - self.units[self.mi - 1].length
+
+    def _swap(self, other):
+        """Record that the mover and the unit it faced changed places."""
+        self.s += self.d * self.units[other].length
+        self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
+        self.mi = other
 
     def _rewrite_pair(self, new_mov, swap):
         """Rearrange writing the mover as new_mov past the unit it faces
         (swap, a hop) or on the same side of it (a turn)."""
         other = self.mi + self.d
-        vs = self.slot_of(other)
+        vs = self._facing_slot()
         vevs = list(self.movie.final().events[vs:vs + self.units[other].length])
         window = tuple(vevs + new_mov if (self.d == 1) == swap else new_mov + vevs)
-        self.movie.append(Rearrange(self.slot_of(min(self.mi, other)), len(window), window))
+        self.movie.append(Rearrange(min(self.s, vs), len(window), window))
         if swap:
-            self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
-            self.mi = other
+            self._swap(other)
 
     # -- elementary compiled steps ------------------------------------
 
@@ -117,16 +125,12 @@ class _Transport:
         n, q = self.n, v.q
         want_lower = self.b == q
         # choose the factorisation of the block the slide threads through
-        if (self.d == 1) == want_lower:
-            self._refactor_block(other, 'runs')
-        else:
-            self._refactor_block(other, 'rows')
-        mov_slot = self.slot_of(self.mi)
+        self._refactor_block(self._facing_slot(), v,
+                             'runs' if (self.d == 1) == want_lower else 'rows')
         # thread the mover's events from its leading end
         for idx in range(self.mover().length)[::-self.d]:
-            self._thread(mov_slot + idx, v.length)
-        self.units[self.mi], self.units[other] = self.units[other], self.units[self.mi]
-        self.mi = other
+            self._thread(self.s + idx, v.length)
+        self._swap(other)
         self.b = q + n if want_lower else q
 
     def _thread(self, slot, count):
@@ -148,16 +152,14 @@ class _Transport:
         if count:
             raise PlannerError("threading overshot the block")
 
-    def _refactor_block(self, ui, style):
-        """Reorder the block's own events row by row ('rows') or run by
-        run ('runs').  The block carries bundle A, n strands from q up,
-        across bundle B, the next n; the crossing of A's r-th strand with
-        B's k-th sits at q + r + k - 2 in any order of the block, so only
-        the order changes: (row, column) = (n - r, k - 1) for 'rows',
+    def _refactor_block(self, s, v, style):
+        """Reorder the events of block v at slot s row by row ('rows') or
+        run by run ('runs').  The block carries bundle A, n strands from q
+        up, across bundle B, the next n; the crossing of A's r-th strand
+        with B's k-th sits at q + r + k - 2 in any order of the block, so
+        only the order changes: (row, column) = (n - r, k - 1) for 'rows',
         (column, row) for 'runs'."""
-        v = self.units[ui]
         n, q = self.n, v.q
-        s = self.slot_of(ui)
         evs = self.movie.final().events[s:s + v.length]
         at = list(range(2 * n))     # strand labels: A from 0, B from n
         out = [None] * len(evs)
@@ -180,11 +182,14 @@ class _Transport:
             self.movie.append(RayShift(-self.d))
         self.mi = len(self.units) - 1 - end
         self.units.insert(self.mi, self.units.pop(end))
+        self.s = 0 if self.d == 1 else len(self.movie.final().events) - self.mover().length
 
     def normalize_blocks(self):
-        for ui, u in enumerate(self.units):
+        s = 0
+        for u in self.units:
             if u.kind == 'block':
-                self._refactor_block(ui, 'rows')
+                self._refactor_block(s, u, 'rows')
+            s += u.length
 
     # -- driver -------------------------------------------------------
 
@@ -263,12 +268,9 @@ def _relabel_through_tangle(tr):
     split.
     """
     ti = tr.mi + tr.d
-    tu = tr.units[ti]
-    if tu.kind != 'tangle':
+    if tr.units[ti].kind != 'tangle':
         raise PlannerError("twist is not facing the tangle")
-    tr.units[ti] = _Unit('mover', tr.mover().length, tu.q)
-    tr.units[tr.mi] = _Unit('tangle', tu.length, tu.q)
-    tr.mi = ti
+    tr._swap(ti)
 
 
 def rotation_loop(tangle_word, long_text, n):

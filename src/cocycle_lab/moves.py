@@ -29,10 +29,12 @@ crossings' tokens (_drop).  A Rearrange whose old and new windows hold
 crossings only passes when the two differ by far commutations, that is
 when, for every position i, the crossings at i and i + 1 appear as the
 same sequence of events in both; a window with a cup or a cap is
-compared by one sweep of each (annular.window_strands).  Kink
-creations, ray shifts, a Rearrange that fails its window check and an
-R2Create whose token gaps the walk cannot decide build and validate
-their result in full.
+compared by one sweep of each (annular.window_strands).  A ray shift of
+a crossing splices in the rotated word and moves the crossing's two ray
+passages past its tokens (_ray_moved).  Kink creations, ray shifts of a
+cup or cap, a Rearrange that fails its window check, and an R2Create or
+ray shift whose tokens do not decide the edit build and validate their
+result in full.
 """
 
 from __future__ import annotations
@@ -293,23 +295,74 @@ class R3(Move):
 @dataclass(frozen=True)
 class RayShift(Move):
     """Slide the event next to the ray across it.  direction +1 moves the
-    first event of the word to its end, -1 the reverse."""
+    first event of the word to its end, -1 the reverse.
+
+    A crossing keeps w0 and every sign and marking: the word and its
+    widths rotate by one event, spliced in whole, and on each of the
+    crossing's strands its token changes places with the ray passage
+    next to it (_ray_moved).  A crossing at position 1 moves the passage
+    that anchors the token list, so the list is rotated to start at the
+    new passage of position 1, or to end at it where the knot runs
+    backward there, as AnnularDiagram._traverse orients it.  A cup or
+    cap changes w0 and the number of passages; no planner shifts one,
+    and it is built and validated in full, as is a crossing whose tokens
+    do not decide the edit.
+    """
 
     direction: int = 1
 
     def apply(self, diagram):
-        evs = list(diagram.events)
+        evs, d = diagram.events, self.direction
         if not evs:
             raise MoveError('E_RAY', "nothing to shift")
-        if self.direction == 1:
-            out = evs[1:] + evs[:1]
-            w0 = diagram.w0 + evs[0].delta
-        elif self.direction == -1:
-            out = evs[-1:] + evs[:-1]
-            w0 = diagram.w0 - evs[-1].delta
-        else:
+        if d not in (1, -1):
             raise MoveError('E_RAY', "direction must be +1 or -1")
-        return AnnularDiagram(diagram.n, out, w0=w0)
+        ev = evs[0] if d == 1 else evs[-1]
+        out = evs[d:] + evs[:d]
+        if ev.kind == 'X':
+            g = _ray_moved(diagram.gauss(), ev, d)
+            if g is not None:
+                w = diagram.widths()
+                return diagram.spliced(0, len(evs), out, g, w[d:] + w[:d])
+        return AnnularDiagram(diagram.n, out, w0=diagram.w0 + d * ev.delta)
+
+
+def _ray_moved(g, ev, d):
+    """The Gauss diagram left when the crossing ev slides across the ray
+    in direction d, or None when the tokens do not decide it.
+
+    On each strand of ev the ray passage is the token next to ev's: on
+    the ray's side of it (before it for d = +1, after it for d = -1) as
+    ('r', 1) when the knot runs word-forward there, on the other side as
+    ('r', -1) when it runs backward.  Where both neighbours fit, the
+    sign of ev, its over flag times the directions of its two strands,
+    settles one strand from the other."""
+    tokens, size = g.tokens, len(g.tokens)
+    # line 1 is the strand ascending through ev, line 2 the other
+    ends = [g.position(kind, ev.cid) for kind in ('hf' if ev.over == '+' else 'fh')]
+    # the directions each strand's neighbours allow
+    sides = [{x for x, tok in ((1, ('r', 1)), (-1, ('r', -1)))
+              if tokens[(j - x * d) % size] == tok} for j in ends]
+    s = g.signs[ev.cid] * (1 if ev.over == '+' else -1)
+    ways = [(x, s * x) for x in sides[0] if s * x in sides[1]]
+    if len(ways) != 1:
+        return None
+    new = list(tokens)
+    for j, x in zip(ends, ways[0]):
+        p = (j - x * d) % size
+        new[p], new[j] = new[j], new[p]
+    if ev.pos == 1:
+        # the passage of position 1 of the new ray slice: the end of line 2
+        # (d = +1) or the start of line 1 (d = -1), now at its token's index
+        line = 1 if d == 1 else 0
+        j = ends[line]
+        if ways[0][line] == 1:
+            new = new[j:] + new[:j]
+        elif g.homology_class > 0:
+            new = new[j + 1:] + new[:j + 1]
+        else:
+            return None             # a class-0 walk would turn the knot around
+    return g.ray_moved(new)
 
 
 def exchange_pair(events, slot):

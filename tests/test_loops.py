@@ -317,7 +317,7 @@ def test_refactored_blocks_match_the_label_reference(n):
         d = AnnularDiagram(n, start.events[:s] + evs + start.events[s + n * n:])
         for style in ('rows', 'runs'):
             tr = _Transport(d, units, 1)
-            tr._refactor_block(ui, style)
+            tr._refactor_block(s, units[ui], style)
             want = _refactored_reference(evs, q, n, style)
             assert tr.movie.final().events[s:s + n * n] == want
             if want != evs:

@@ -1,10 +1,11 @@
 """Differential test of movie replay.
 
-Exchange, R3, R2Create, R2Delete, R1Delete and a Rearrange that passes
-its window check splice the state they leave behind from the parent's
-instead of traversing the diagram again.  After every move of every
-movie here, the replayed state must agree with the same event word
-built from scratch by the public, fully validating constructor.
+Exchange, R3, R2Create, R2Delete, R1Delete, a Rearrange that passes its
+window check and a ray shift of a crossing splice the state they leave
+behind from the parent's instead of traversing the diagram again.
+After every move of every movie here, the replayed state must agree
+with the same event word built from scratch by the public, fully
+validating constructor.
 
 A movie applies each move once and records the state it leaves
 behind.  Every recorded state must equal the one a fresh replay gives,
@@ -127,15 +128,122 @@ def _transport_grid():
                                            (_scan_variant_movies, 60)],
                          ids=["transport-grid", "scan-variants"])
 def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies, count):
-    # a planner Rearrange whose window check wrongly fails still replays
-    # to the same states, through the full build; only this count shows it
+    # a planner Rearrange whose window check wrongly fails, or a ray shift
+    # that falls back to the full build, still replays to the same states;
+    # only this count shows it: the start is the one state validated
     movies = movies()
     assert len(movies) == count
     for movie in movies:
-        shifts = sum(isinstance(mv, RayShift) for mv in movie.moves)
-        assert _validations(monkeypatch, movie) == 1 + shifts
+        assert _validations(monkeypatch, movie) == 1
         monkeypatch.undo()
     assert any(isinstance(mv, Rearrange) for movie in movies for mv in movie.moves)
+
+
+# ---------------------------------------------------------------------------
+# Ray shifts
+
+def _ray_pass_movies():
+    """The transport grid, push trefoil and push torus27 at n = 2..5, and
+    rotation and full twist at n = 2."""
+    movies = _transport_grid()
+    movies += [push_loop(list(range(1, n)), knot, n)
+               for n in (2, 3, 4, 5) for knot in (TREFOIL1, TORUS27_2)]
+    movies += [planner([1], knot, 2) for planner in (rotation_loop, push_full_twist_loop)
+               for knot in (TREFOIL1, FIG8_M1)]
+    return movies
+
+
+def test_planner_ray_shifts_validate_no_word(monkeypatch):
+    movies = _ray_pass_movies()
+    calls = _count_validations(monkeypatch)
+    moved = Counter()
+    for movie in movies:
+        for before, mv, _ in movie.steps():
+            if isinstance(mv, RayShift):
+                calls.clear()
+                after = mv.apply(before)
+                assert calls['validate'] == 0, repr(mv)
+                assert_matches_reference(after, repr(mv))
+                ev = before.events[0 if mv.direction == 1 else -1]
+                moved['X(1)' if ev.pos == 1 else 'X(p > 1)'] += 1
+    # shifts of X(1) move the passage that anchors the token list
+    assert moved['X(1)'] > 0 and moved['X(p > 1)'] > 0
+
+
+def _shift_hosts(rng):
+    """The corpus cables, the fig8 closures with reversed token lists and
+    the kink-grafted words."""
+    return ([d for _, d in verify.corpus_diagrams()] + _reversed_token_lists()
+            + _kink_hosts(rng))
+
+
+def assert_same_tokens(got, want, where):
+    assert_same_state(got, want, where)
+    assert got.gauss()._pos == want.gauss()._pos, where
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_ray_shifts_match_the_full_build(monkeypatch, seed):
+    # a walk of shifts in both directions; each shift is undone by the
+    # opposite one, and crossing shifts validate a word only where the
+    # tokens do not decide the strands' directions
+    rng = random.Random(seed)
+    hosts = _shift_hosts(rng)
+    calls = _count_validations(monkeypatch)
+    kinds = Counter()
+    for d in hosts:
+        cur = d
+        for k in range(2 * len(d.events)):
+            mv = RayShift(rng.choice((1, -1)))
+            kind = cur.events[0 if mv.direction == 1 else -1].kind
+            calls.clear()
+            after = mv.apply(cur)
+            kinds[kind, calls['validate']] += 1
+            assert_matches_reference(after, f"{d!r} shift {k} {mv!r}")
+            back = RayShift(-mv.direction).apply(after)
+            assert_same_tokens(back, cur, f"{d!r} shift {k} {mv!r} undone")
+            cur = after
+    assert kinds['X', 1] < kinds['X', 0] // 50
+    assert kinds['U', 1] > 0 and kinds['A', 1] > 0
+    assert kinds['U', 0] == kinds['A', 0] == 0
+
+
+def test_a_full_turn_of_ray_shifts_returns_the_start():
+    for d in _shift_hosts(random.Random(0)):
+        for direction in (1, -1):
+            cur = d
+            for _ in d.events:
+                cur = RayShift(direction).apply(cur)
+            assert_same_tokens(cur, d, f"{d!r} turned {direction:+}")
+
+
+@pytest.mark.parametrize("word, w0", [
+    # both tokens of the crossing sit between ('r', 1) and ('r', -1), so
+    # either strand may run either way
+    ("X+ 1 ; A 2 ; A 1 ; U 1 ; U 2", 4),
+    # a class-0 kink whose new ray slice puts position 1 on its backward
+    # strand: the walk from there orients the knot the other way round
+    ("X+ 1 ; A 1 ; U 1", 2),
+])
+def test_undecided_crossing_shifts_are_built_in_full(monkeypatch, word, w0):
+    d = parse_morse(word, w0=w0)
+    assert d.gauss().homology_class == 0
+    calls = _count_validations(monkeypatch)
+    after = RayShift(1).apply(d)
+    assert calls['validate'] == 1
+    assert_matches_reference(after, word)
+
+
+def test_cup_and_cap_shifts_are_built_in_full(monkeypatch):
+    # a cup at the word's start and a cap at its end change w0
+    d = closed_cable([], long_events(LONG_TREFOIL), 1)
+    assert (d.events[0].kind, d.events[-1].kind, d.w0) == ('U', 'A', 1)
+    calls = _count_validations(monkeypatch)
+    for mv in (RayShift(1), RayShift(-1)):
+        calls.clear()
+        after = mv.apply(d)
+        assert calls['validate'] == 1 and after.w0 == 3, repr(mv)
+        assert_matches_reference(after, repr(mv))
 
 
 def _swept_window_widths(mv, diagram):
