@@ -83,6 +83,18 @@ _set_kind, _set_pos, _set_over, _set_cid = (
     MorseEvent.__dict__[name].__set__ for name in MorseEvent.__slots__)
 
 
+def _crossing(pos, over, cid):
+    """A crossing event from fields that validated events already hold,
+    set without checking them again: only R3.apply calls it, with its
+    parent's positions, flags and ids permuted."""
+    ev = object.__new__(MorseEvent)
+    _set_kind(ev, 'X')
+    _set_pos(ev, pos)
+    _set_over(ev, over)
+    _set_cid(ev, cid)
+    return ev
+
+
 _EVENT_RE = re.compile(r'^(U|A|X\+|X-)\s+(\d+)$')
 
 

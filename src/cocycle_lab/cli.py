@@ -188,8 +188,9 @@ def _explain_table(rep):
 
 
 def _report_payload(movie, explain=False):
-    reports = evaluate_all(movie, report=True)
-    values = {a: rep.value for a, rep in reports.items()}
+    # report rows are built only for the explain table
+    reports = evaluate_all(movie, report=explain)
+    values = {a: rep.value for a, rep in reports.items()} if explain else reports
     coeffs = interpolation_polynomial(values)
     payload = {
         'n': movie.start.n,
@@ -262,16 +263,15 @@ def _cmd_loops(args):
 
 def _cmd_eval(args):
     movie = _loop_movie(args)
-    if args.a is not None:
+    if args.a is None:
+        _emit(_report_payload(movie, explain=args.explain), args.out)
+    elif args.explain:
         rep = evaluate(movie, args.a, report=True)
-        if args.explain:
-            key = str(args.a)
-            _emit({'n': rep.n, 'values': {key: rep.value},
-                   'moves': {key: _explain_table(rep)}}, args.out)
-        else:
-            _emit(rep.value, args.out)
-        return 0
-    _emit(_report_payload(movie, explain=args.explain), args.out)
+        key = str(args.a)
+        _emit({'n': rep.n, 'values': {key: rep.value},
+               'moves': {key: _explain_table(rep)}}, args.out)
+    else:
+        _emit(evaluate(movie, args.a), args.out)
     return 0
 
 

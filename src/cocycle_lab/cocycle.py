@@ -14,6 +14,11 @@ and kept by the Gauss diagram (moves.r3_token_pairs), and the markings
 and token positions.  The arrow counts pair only the marking-n
 crossings that count (the move's f-crossings, or hm) with the marking-0
 ones.
+
+One walk over the movie classifies each triple point move once and
+takes the counts only for the two contributing classes.  The values are
+summed as plain integers; report rows (MoveRow, CocycleReport) are
+built only when a report is asked for.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauss import match_n0_pairs, zero_chords
-from .moves import R3, MoveError, r3_token_pairs
+from .moves import R3, MoveError, r3_checked, r3_token_pairs
 
 
 class CocycleError(ValueError):
@@ -48,7 +53,7 @@ class TripleData:
 def classify_r3(state, slot):
     """TripleData for the R3 move applied at this slot of this state."""
     try:
-        trip = R3(slot).check(state)
+        trip = r3_checked(state.events, slot)
     except MoveError as exc:
         raise CocycleError(str(exc)) from exc
     g = state.gauss()
@@ -86,10 +91,8 @@ def classify_r3(state, slot):
     # in the next pair, cyclically
     inter = ((p0 == p1 or p0 == q1) + (p1 == p2 or p1 == q2)
              + (p2 == p0 or p2 == q0))
-    return TripleData(slot=slot, d=d, hm=hm, ml=ml,
-                      marks={'d': md, 'hm': mhm, 'ml': mml},
-                      global_type=gtype, local_type=local,
-                      sign=-1 if inter % 2 else 1, w_hm=whm)
+    return TripleData(slot, d, hm, ml, {'d': md, 'hm': mhm, 'ml': mml},
+                      gtype, local, -1 if inter % 2 else 1, whm)
 
 
 def f_crossings(g, triple, n):
@@ -159,73 +162,82 @@ class CocycleReport:
         return [r for r in self.rows if r.contrib != 0]
 
 
-def _rows(state, slot, index, n, avals):
-    """The report row of one triple point move for every a in avals.
+def _contributions(g, t, n, avals):
+    """(a, contrib, w2p, lp, w2hm) for each a at which a triple point move
+    of class (a, n, a) or (n, n, n) counts.
 
-    Classification and the a-independent counts are done once, and a row
-    that does not depend on a is built once and shared; only the
-    (n, n, n) class needs l_p at the marking n - a of each a.
+    The a-independent counts are taken once; only the (n, n, n) class
+    needs l_p at the marking n - a of each a.
     """
-    t = classify_r3(state, slot)
-    md, mhm, mml = t.marks['d'], t.marks['hm'], t.marks['ml']
-    rows = dict.fromkeys(avals, MoveRow(index=index, triple=t, contrib=0))
-    if t.global_type != 'r' or mhm != n or md != mml:
-        return rows                 # neither (a, n, a) nor (n, n, n)
-    g = state.gauss()
-    if md == n:
+    if t.marks['d'] == n:
         w2hm = w2_hm(g, t, n)
+        weight = -t.sign * w2hm * t.w_hm
+        out = []
         for a in avals:
             lp = l_p(g, t, n, n - a)
-            rows[a] = MoveRow(index=index, triple=t,
-                              contrib=-t.sign * lp * w2hm * t.w_hm,
-                              lp=lp, w2hm=w2hm)
-    elif md in rows:                # (a, n, a) at a = md only
-        # both counts pair with the same marking-0 chords; classify_r3
-        # has computed the markings
-        bottoms = zero_chords(g, g._marks)
-        w2p = w2_p(g, t, n, bottoms)
-        w2hm = w2_hm(g, t, n, bottoms)
-        lp = l_p(g, t, n, n)
-        rows[md] = MoveRow(index=index, triple=t,
-                           contrib=t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm),
-                           w2p=w2p, lp=lp, w2hm=w2hm)
-    return rows
+            out.append((a, lp * weight, 0, lp, w2hm))
+        return out
+    # (a, n, a) at a = md only: both counts pair with the same marking-0
+    # chords, and classify_r3 has computed the markings
+    bottoms = zero_chords(g, g._marks)
+    w2p = w2_p(g, t, n, bottoms)
+    w2hm = w2_hm(g, t, n, bottoms)
+    lp = l_p(g, t, n, n)
+    return [(t.marks['d'], t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm),
+             w2p, lp, w2hm)]
 
 
-def walk(movie, avals):
+def walk(movie, avals, report=False):
     """Replay a movie once and evaluate it at every a in avals.
 
-    Returns {a: CocycleReport}.  A triple point move that cannot be
+    Each triple point move is classified once.  Returns {a: value}, or
+    {a: CocycleReport} with one row per triple point move when report is
+    true; rows are built only then.  A triple point move that cannot be
     classified raises its CocycleError.
     """
     n = movie.start.n
-    reports = {a: CocycleReport(n=n, a=a, value=0) for a in avals}
+    values = dict.fromkeys(avals, 0)
+    rows = {a: [] for a in avals} if report else None
+    if not avals:
+        return values
     for index, (before, mv, _) in enumerate(movie.steps(), 1):
-        if avals and isinstance(mv, R3):
-            for a, row in _rows(before, mv.slot, index, n, avals).items():
-                reports[a].rows.append(row)
-                reports[a].value += row.contrib
-    return reports
+        if not isinstance(mv, R3):
+            continue
+        t = classify_r3(before, mv.slot)
+        marks, counted = t.marks, ()
+        md = marks['d']
+        if (t.global_type == 'r' and marks['hm'] == n and marks['ml'] == md
+                and (md == n or md in values)):
+            counted = _contributions(before.gauss(), t, n, avals)
+            for a, contrib, *_ in counted:
+                values[a] += contrib
+        if report:
+            # a row that does not depend on a is built once and shared
+            zero = MoveRow(index, t, 0)
+            own = {a: MoveRow(index, t, *counts) for a, *counts in counted}
+            for a in avals:
+                rows[a].append(own.get(a, zero))
+    if not report:
+        return values
+    return {a: CocycleReport(n, a, values[a], rows[a]) for a in avals}
 
 
 def evaluate(movie, a, report=False):
     """Value of the parameter-a cocycle on a movie of class n.
 
-    The parameter must satisfy 0 < a < n.  Returns an int, or a
-    CocycleReport carrying one row per triple point move.
+    The parameter must satisfy 0 < a < n.  Returns an int, or with report
+    a CocycleReport carrying one row per triple point move.
     """
     n = movie.start.n
     if not 0 < a < n:
         raise CocycleError(f"parameter a={a} outside 0 < a < {n}")
-    rep = walk(movie, (a,))[a]
-    return rep if report else rep.value
+    return walk(movie, (a,), report)[a]
 
 
 def evaluate_all(movie, report=False):
-    """Values for every admissible parameter a = 1 .. n-1, from one
-    replay of the movie."""
-    return {a: rep if report else rep.value
-            for a, rep in walk(movie, range(1, movie.start.n)).items()}
+    """Values (or with report, CocycleReports) for every admissible
+    parameter a = 1 .. n-1, from one replay of the movie."""
+    return walk(movie, range(1, movie.start.n), report)
 
 
 def interpolation_polynomial(values):

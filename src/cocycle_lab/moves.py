@@ -42,8 +42,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .annular import (AnnularDiagram, DiagramError, MorseEvent, fits,
-                      token_gap, window_strands)
+from .annular import (AnnularDiagram, DiagramError, MorseEvent, _crossing,
+                      fits, token_gap, window_strands)
 from .gauss import ray_starts
 
 
@@ -239,6 +239,18 @@ def r3_triple(events, slot):
     return a, b, c
 
 
+def r3_checked(events, slot):
+    """R3's validity rule: the triple point pattern at slot, if its
+    heights are totally ordered, else the move's MoveError.  R3.check and
+    cocycle.classify_r3 both apply it."""
+    trip = r3_triple(events, slot)
+    if trip is None:
+        raise MoveError('E_R3', f"no triple point pattern at slot {slot}")
+    if (trip[0].over, trip[1].over, trip[2].over) in _R3_FORBIDDEN:
+        raise MoveError('E_R3', "strand heights are cyclic, move is not planar")
+    return trip
+
+
 def r3_token_pairs(g, trip):
     """Index of the first token of each strand's pair in a triple point
     pattern.  Each strand meets two of its crossings back to back, and no
@@ -276,18 +288,13 @@ class R3(Move):
 
     def check(self, diagram):
         """The triple point pattern at slot, if its heights are totally ordered."""
-        trip = r3_triple(diagram.events, self.slot)
-        if trip is None:
-            raise MoveError('E_R3', f"no triple point pattern at slot {self.slot}")
-        if (trip[0].over, trip[1].over, trip[2].over) in _R3_FORBIDDEN:
-            raise MoveError('E_R3', "strand heights are cyclic, move is not planar")
-        return trip
+        return r3_checked(diagram.events, self.slot)
 
     def apply(self, diagram):
         trip = a, b, c = self.check(diagram)
-        new = (MorseEvent('X', b.pos, c.over, c.cid),
-               MorseEvent('X', a.pos, b.over, b.cid),
-               MorseEvent('X', b.pos, a.over, a.cid))
+        # the parent's validated fields, permuted: no event is checked again
+        new = (_crossing(b.pos, c.over, c.cid), _crossing(a.pos, b.over, b.cid),
+               _crossing(b.pos, a.over, a.cid))
         g = diagram.gauss()
         return diagram.spliced(self.slot, 3, new, g.transposed(r3_token_pairs(g, trip)))
 

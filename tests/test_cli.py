@@ -197,6 +197,35 @@ def test_eval_explain_at_one_a(capsys):
     assert sum(r['contribution'] for r in payload['moves']['2']) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ['eval', '--push', '--tangle', 's1,s2', '--knot', 'trefoil', '--n', '3',
+     '--w1', '1'],
+    ['eval', '--push', '--tangle', 's1,s2', '--knot', 'trefoil', '--n', '3',
+     '--w1', '1', '--a', '2'],
+    ['pairing', '--left', 'unknot.morse', '--right', 'trefoil.morse',
+     '--n', '2', '--w1', '1'],
+], ids=['eval', 'eval-a', 'pairing'])
+def test_report_rows_are_built_only_for_explain(monkeypatch, capsys, argv):
+    asked = []
+    for name in ('evaluate', 'evaluate_all'):
+        fn = getattr(cli, name)
+
+        def recorded(*args, fn=fn, **kwargs):
+            asked.append(kwargs.get('report', False))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ['--explain']) == 0
+    explained = json.loads(capsys.readouterr().out)
+    assert asked == [False, True]
+    if '--a' in argv:
+        assert json.loads(plain) == explained['values']['2']
+    else:
+        assert json.loads(plain)['values'] == explained['values']
+
+
 def test_verify_n_for_a_suite_without_n_is_a_usage_error(capsys):
     assert run(['verify', '--suite', 'prop1', '--n', '3']) == 2
     captured = capsys.readouterr()

@@ -264,3 +264,94 @@ def test_a_kept_triangle_gives_way_to_the_next_one_asked():
             assert list(r3_token_pairs(g, t)) == firsts
         return
     raise AssertionError("no state with two triple point patterns")
+
+
+# ---------------------------------------------------------------------------
+# The value path (no report rows) against the report path, on every movie
+# family the verify suites and the benchmark generate
+
+def _suite_movies(name, params=None):
+    """The loops a verify suite checks, in order."""
+    from cocycle_lab import verify
+    movies = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, '_check_loop_zero',
+                   lambda rep, movie, case: movies.append(movie))
+        verify.run_suite(name, params)
+    return movies
+
+
+def _scan_invariance_movies():
+    """The scans of the scan-invariance suite: each fixture and its variants."""
+    from cocycle_lab import verify
+    movies, scan = [], verify.scan_path
+
+    def recorded(*args):
+        movies.append(scan(*args))
+        return movies[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, 'scan_path', recorded)
+        verify.run_suite('scan-invariance')
+    return movies
+
+
+def _transport_grid_movies():
+    from test_annular import _transport_grid_movies
+    return _transport_grid_movies()
+
+
+def _a_dependent_push_loops():
+    from test_arrow_counts import a_dependent_push_loops
+    return a_dependent_push_loops()
+
+
+# family -> (builder, movies, triple point moves, (row, a) with a count
+# that is not zero); the commutation loops meet no such row
+MOVIE_FAMILIES = {
+    'transport-grid': (_transport_grid_movies, 12, 460, 44),
+    'a-dependent-push': (_a_dependent_push_loops, 4, 552, 25),
+    'scan-invariance': (_scan_invariance_movies, 63, 2712, 308),
+    'tetrahedron-n2-n3': (lambda: _suite_movies('tetrahedron', {'ns': (2, 3)}),
+                          180, 1440, 36),
+    'cube': (lambda: _suite_movies('cube'), 666, 1332, 46),
+    'commutation': (lambda: _suite_movies('commutation'), 90, 180, 0),
+    'contractible': (lambda: _suite_movies('contractible'), 100, 14, 6),
+}
+
+
+@pytest.mark.parametrize("family", MOVIE_FAMILIES)
+def test_value_path_equals_the_report_path(family, monkeypatch):
+    from cocycle_lab import cocycle
+    build, count, r3_count, count_rows = MOVIE_FAMILIES[family]
+    movies = build()
+    assert len(movies) == count
+    classify, classified = cocycle.classify_r3, []
+
+    def recorded(state, slot):
+        classified.append(slot)
+        return classify(state, slot)
+
+    monkeypatch.setattr(cocycle, 'classify_r3', recorded)
+    r3_total = nonzero_rows = 0
+    for movie in movies:
+        r3s = sum(isinstance(mv, R3) for mv in movie.moves)
+        r3_total += r3s
+        n = movie.start.n
+        del classified[:]
+        values = evaluate_all(movie)
+        assert len(classified) == r3s
+        reports = evaluate_all(movie, report=True)
+        assert len(classified) == 2 * r3s
+        assert values == {a: rep.value for a, rep in reports.items()}
+        assert values == {a: sum(row.contrib for row in rep.rows)
+                          for a, rep in reports.items()}
+        assert sorted(values) == list(range(1, n))
+        for a, rep in reports.items():
+            assert (rep.n, rep.a) == (n, a) and len(rep.rows) == r3s
+            assert evaluate(movie, a) == values[a]
+            single = evaluate(movie, a, report=True)
+            assert single.value == values[a] and single.rows == rep.rows
+            nonzero_rows += sum(any((row.w2p, row.lp, row.w2hm, row.contrib))
+                                for row in rep.rows)
+    assert (r3_total, nonzero_rows) == (r3_count, count_rows)

@@ -596,6 +596,30 @@ def test_r3_moves_every_token_pair():
         assert_matches_reference(after, f"flags {flags}")
 
 
+def test_r3_events_equal_freshly_validated_events():
+    # R3.apply sets its three events from its parent's fields without
+    # checking them again; each must be the event the validating
+    # constructor gives, as a value, a hash key and a text
+    r3s = 0
+    for movie in _transport_grid():
+        for before, mv, after in movie.steps():
+            if not isinstance(mv, R3):
+                continue
+            r3s += 1
+            a, b, c = before.events[mv.slot:mv.slot + 3]
+            fresh = (MorseEvent('X', b.pos, c.over, c.cid),
+                     MorseEvent('X', a.pos, b.over, b.cid),
+                     MorseEvent('X', b.pos, a.over, a.cid))
+            got = tuple(after.events[mv.slot:mv.slot + 3])
+            assert got == fresh, (mv, got)
+            assert [hash(ev) for ev in got] == [hash(ev) for ev in fresh]
+            assert [repr(ev) for ev in got] == [repr(ev) for ev in fresh]
+            assert all(type(ev) is MorseEvent for ev in got)
+            with pytest.raises(AttributeError):
+                got[0].pos = 1
+    assert r3s == 460
+
+
 # ---------------------------------------------------------------------------
 # Tangency moves
 
