@@ -38,16 +38,15 @@ BUILTIN_KNOTS = {
 
 
 # The most crossings a start diagram of `loops`, `eval` or `pairing` may
-# have.  A movie keeps every state, so its memory grows with its moves
-# times its word length.  A push loop makes moves about in proportion to
-# the crossings, so its memory grows about as their square.  Peak
-# memory of `eval --push ... --a 1` (Python 3.11, x86-64): 86 MB for
-# torus27 w1=2 n=8 (519 crossings), 436 MB for trefoil w1=1 n=18 (989),
-# 644 MB for trefoil w1=500 n=2 (2,009), 1.8 GB for w1=800 n=2 (3,209).
-# The bound does not cover the scan path, whose moves grow faster: for
-# trefoil w1=1 and tangle s1 ... s(n-1) it peaks at 35 MB at n = 6 (5,411
-# moves), 413 MB at n = 10 (48,611) and 634 MB at n = 11 (72,611), about
-# x1.5 per step of n, and n = 15 (899 crossings) is accepted.
+# have.  A movie keeps its start, its moves and its final state, so its
+# memory grows with its moves; each move copies the word it edits, so
+# its time grows with the moves times the word length.  Peak memory and
+# time of `eval ... --a 1` (Python 3.11, x86-64): push torus27 w1=2 n=8
+# (519 crossings) 19 MB, 0.16 s; push trefoil w1=1 n=18 (989) 22 MB,
+# 0.44 s; scan and rotation of trefoil w1=1 n=15 (899; 264,821 moves
+# for the rotation) 59 MB, 2.5 s.  Past the bound, push trefoil n=2
+# (library call) takes 1.1 s and 20 MB at w1=500 (2,009 crossings) and
+# 2.9 s and 24 MB at w1=800 (3,209).
 MAX_START_CROSSINGS = 1000
 
 

@@ -1,4 +1,4 @@
-"""Evaluation of the degree-one cocycle on movies of class-n diagrams.
+"""Movies of class-n diagrams, and the degree-one cocycle on them.
 
 Only triple point moves contribute.  For each one the three crossings of
 the triangle are sorted by the strand height order into d (highest over
@@ -8,17 +8,16 @@ classes are the ones marked (a, n, a) and (n, n, n).  Each contribution
 couples the move's local weight (an arrow count over the instantaneous
 diagram) with a linking-style count along the ml chord.
 
-Everything is read off what the replay leaves on the state before the
-move: the triangle's three token pairs, found once when R3 was applied
-and kept by the Gauss diagram (moves.r3_token_pairs), and the markings
-and token positions.  The arrow counts pair only the marking-n
-crossings that count (the move's f-crossings, or hm) with the marking-0
-ones.
+Everything is read off the state just before the move: the triangle's
+three token pairs, found once when R3 was applied and kept by the Gauss
+diagram (moves.r3_token_pairs), and the markings and token positions.
+The arrow counts pair only the marking-n crossings that count (the
+move's f-crossings, or hm) with the marking-0 ones.
 
-One walk over the movie classifies each triple point move once and
-takes the counts only for the two contributing classes.  The values are
-summed as plain integers; report rows (MoveRow, CocycleReport) are
-built only when a report is asked for.
+The value is a sum over the triple point moves, so the one pass that
+builds a movie gathers it: Movie.append keeps a record of each triple
+point move instead of the states, and walk reads the records, applying
+nothing.  Report rows (MoveRow, CocycleReport) are built only on request.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauss import match_n0_pairs, zero_chords
-from .moves import R3, MoveError, r3_checked, r3_token_pairs
+from .moves import (R3, MoveError, _invert, r3_checked, r3_token_pairs,
+                    same_gauss)
 
 
 class CocycleError(ValueError):
@@ -187,29 +187,86 @@ def _contributions(g, t, n, avals):
              w2p, lp, w2hm)]
 
 
-def walk(movie, avals, report=False):
-    """Replay a movie once and evaluate it at every a in avals.
+class Movie:
+    """A path in the space of class-n diagrams: a start diagram, the moves
+    applied to it, and the state the last one leaves behind.
 
-    Each triple point move is classified once.  Returns {a: value}, or
-    {a: CocycleReport} with one row per triple point move when report is
-    true; rows are built only then.  A triple point move that cannot be
-    classified raises its CocycleError.
+    Movie(start, moves) applies each move once, through append, and
+    raises the move's own error if one does not apply (or the
+    CocycleError of a triple point move that cannot be classified), so a
+    movie always holds a valid path.  No other state is kept, only one
+    record per triple point move, which walk reads.  start is read-only,
+    and moves returns a fresh list.  steps and states replay from start.
     """
-    n = movie.start.n
+
+    def __init__(self, start, moves=()):
+        self._start = self._final = start
+        self._moves, self._r3s = [], []
+        for mv in moves:
+            self.append(mv)
+
+    @property
+    def start(self):
+        return self._start
+
+    @property
+    def moves(self):
+        return list(self._moves)
+
+    def __repr__(self):
+        return f"Movie(start={self._start!r}, moves={self._moves!r})"
+
+    def append(self, mv):
+        """Apply mv to the final state, record it, and return the state it
+        leaves behind.  A triple point move is classified on the state it
+        is applied to, and its record kept: (move index, TripleData, the
+        counted terms at every a = 1..n-1 for a contributing class)."""
+        before = self._final
+        after = mv.apply(before)
+        if isinstance(mv, R3):
+            t, n = classify_r3(before, mv.slot), before.n
+            md, counted = t.marks['d'], ()
+            if (t.global_type == 'r' and t.marks['hm'] == n
+                    and t.marks['ml'] == md and 0 < md <= n):
+                counted = _contributions(before.gauss(), t, n, range(1, n))
+            self._r3s.append((len(self._moves) + 1, t, counted))
+        self._moves.append(mv)
+        self._final = after
+        return after
+
+    def steps(self):
+        """(state_before, move, state_after) for each move, replayed."""
+        cur = self._start
+        for mv in self._moves:
+            nxt = mv.apply(cur)
+            yield cur, mv, nxt
+            cur = nxt
+
+    def states(self):
+        return [self._start] + [after for _, _, after in self.steps()]
+
+    def final(self):
+        return self._final
+
+    def is_closed(self):
+        return same_gauss(self._final, self._start)
+
+    def reversed(self):
+        """The inverse loop.  Only moves with an evident inverse appear in
+        generated loops, so this is total on what the package produces."""
+        inverse = [_invert(mv, before) for before, mv, _ in self.steps()]
+        return Movie(self._final, inverse[::-1])
+
+
+def walk(movie, avals, report=False):
+    """{a: value}, or with report {a: CocycleReport} with one row per
+    triple point move, at every a in avals (0 < a < n), read off the
+    movie's records: nothing is applied, and rows are built only then."""
     values = dict.fromkeys(avals, 0)
     rows = {a: [] for a in avals} if report else None
-    if not avals:
-        return values
-    for index, (before, mv, _) in enumerate(movie.steps(), 1):
-        if not isinstance(mv, R3):
-            continue
-        t = classify_r3(before, mv.slot)
-        marks, counted = t.marks, ()
-        md = marks['d']
-        if (t.global_type == 'r' and marks['hm'] == n and marks['ml'] == md
-                and (md == n or md in values)):
-            counted = _contributions(before.gauss(), t, n, avals)
-            for a, contrib, *_ in counted:
+    for index, t, counted in movie._r3s:
+        for a, contrib, *_ in counted:
+            if a in values:
                 values[a] += contrib
         if report:
             # a row that does not depend on a is built once and shared
@@ -219,7 +276,7 @@ def walk(movie, avals, report=False):
                 rows[a].append(own.get(a, zero))
     if not report:
         return values
-    return {a: CocycleReport(n, a, values[a], rows[a]) for a in avals}
+    return {a: CocycleReport(movie.start.n, a, values[a], rows[a]) for a in avals}
 
 
 def evaluate(movie, a, report=False):
@@ -235,8 +292,7 @@ def evaluate(movie, a, report=False):
 
 
 def evaluate_all(movie, report=False):
-    """Values (or with report, CocycleReports) for every admissible
-    parameter a = 1 .. n-1, from one replay of the movie."""
+    """Values (or CocycleReports, with report) at every a = 1 .. n-1."""
     return walk(movie, range(1, movie.start.n), report)
 
 

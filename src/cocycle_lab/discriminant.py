@@ -18,9 +18,10 @@ import itertools
 import random
 
 from .annular import AnnularDiagram, DiagramError, MorseEvent
+from .cocycle import Movie
 from .gauss import GaussDiagram
-from .moves import (Exchange, Movie, MoveError, R2Create, R2Delete, R3, _other,
-                    cancelling_pair, exchange_pair, r3_triple)
+from .moves import (Exchange, MoveError, R2Create, R2Delete, R3, _invert,
+                    _other, cancelling_pair, exchange_pair, r3_triple)
 
 # half twist word the meridian starts from, and the walk around the
 # octagon: ('B', k) is a triple point move at word offset k, ('C', k) a
@@ -284,13 +285,15 @@ def commutation_loop(host, r3_slot, far_slot, pos, over):
 def random_contractible_loop(host, length, seed):
     """Random applicable word of moves followed by its reverse inverse."""
     rng = random.Random(seed)
-    movie = Movie(host)
+    movie, back = Movie(host), []
     for _ in range(length):
         options = _applicable_moves(movie.final(), rng)
         if not options:
             break
-        movie.append(rng.choice(options))
-    for mv in movie.inverse_moves():
+        mv = rng.choice(options)
+        back.append(_invert(mv, movie.final()))
+        movie.append(mv)
+    for mv in reversed(back):
         movie.append(mv)
     return movie
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .annular import AnnularDiagram, MorseEvent
 from .cabling import (braid_events, closed_cable, full_twist_word, long_events,
                       n_cable, renumber)
-from .moves import Exchange, Movie, R3, RayShift, Rearrange
+from .cocycle import Movie
+from .moves import Exchange, R3, RayShift, Rearrange
 
 
 class PlannerError(RuntimeError):
@@ -251,21 +252,21 @@ def _twist_transport(tangle_word, long_text, n, d):
 
 def _check_resplit(tangle_word, n):
     """Refuse a twist loop whose full twist cannot pass the closing
-    tangle by resplitting their word (_relabel_through_tangle): both
-    must be powers of one generator with one sign.  Every move of the
-    transport keeps each crossing's flag, and the twist meets the tangle
-    on the positions it starts on, so the start decides it, before any
-    move is made."""
-    if len({*tangle_word, *full_twist_word(n)}) != 1:
+    tangle by resplitting their word (_relabel_through_tangle): tangle
+    then twist must be the word twist then tangle, as for any power of
+    s1...s(n-1).  Every move of the transport keeps each crossing's flag,
+    and the twist meets the tangle on the positions it starts on, so the
+    start decides it, before any move is made."""
+    twist = full_twist_word(n)
+    if list(tangle_word) + twist != twist + list(tangle_word):
         raise PlannerError("tangle does not absorb the twist by resplitting")
 
 
 def _relabel_through_tangle(tr):
     """Slide the full twist across the closing tangle without moves.
 
-    Works when tangle and twist concatenate to a power of the same
-    generator block (_check_resplit), so the word admits the shifted
-    split.
+    Works when tangle then twist is the same word as twist then tangle
+    (_check_resplit), so the word admits the shifted split.
     """
     ti = tr.mi + tr.d
     if tr.units[ti].kind != 'tangle':

@@ -1,14 +1,14 @@
-"""Elementary moves on annular Morse words, and movies built from them.
+"""Elementary moves on annular Morse words, and checks of movies.
 
-A movie is a finite sequence of moves applied to a start diagram.  The
-move set: the three Reidemeister moves (kink create/delete, tangency
-create/delete, triple point), sliding an event across the ray, and a
-planar rearrangement that replaces a window of consecutive events by
-any other word as long as the marked Gauss diagram is unchanged.  The
-last one covers everything a generic isotopy of the annulus does
-between Reidemeister strata: height exchanges of distant events, slides
-past cups and caps, U-turns of a tangle around a turnback, zigzag
-cancellation.
+A movie (cocycle.Movie) is a finite sequence of moves applied to a
+start diagram.  The move set: the three Reidemeister moves (kink
+create/delete, tangency create/delete, triple point), sliding an event
+across the ray, and a planar rearrangement that replaces a window of
+consecutive events by any other word as long as the marked Gauss
+diagram is unchanged.  The last one covers everything a generic isotopy
+of the annulus does between Reidemeister strata: height exchanges of
+distant events, slides past cups and caps, U-turns of a tangle around a
+turnback, zigzag cancellation.
 
 Slots index the gaps of the cyclic event word: slot t sits just before
 event t, slot 0 at the ray.
@@ -529,67 +529,6 @@ def same_gauss(d1, d2):
     if g1.tokens == g2.tokens and g1.signs == g2.signs:
         return True
     return canonical_gauss_key(g1) == canonical_gauss_key(g2)
-
-
-class Movie:
-    """A path in the space of class-n diagrams: a start diagram, the moves
-    applied to it, and the state each move leaves behind.
-
-    Movie(start, moves) applies each move once, through append, and
-    raises the move's own error if one does not apply, so a movie always
-    holds a valid path.  Only Movie writes its moves and states: start is
-    read-only, and moves returns a fresh list, so editing that list
-    cannot reach the recorded states.  steps, states and final read the
-    recorded lists and apply nothing.
-    """
-
-    def __init__(self, start, moves=()):
-        self._moves, self._states = [], [start]
-        for mv in moves:
-            self.append(mv)
-
-    @property
-    def start(self):
-        return self._states[0]
-
-    @property
-    def moves(self):
-        return list(self._moves)
-
-    def __repr__(self):
-        return f"Movie(start={self.start!r}, moves={self._moves!r})"
-
-    def append(self, mv):
-        """Apply mv to the final state, record the move and the state it
-        leaves behind, and return that state."""
-        nxt = mv.apply(self._states[-1])
-        self._moves.append(mv)
-        self._states.append(nxt)
-        return nxt
-
-    def steps(self):
-        """(state_before, move, state_after) for each move, in order."""
-        return zip(self._states, self._moves, self._states[1:])
-
-    def states(self):
-        return list(self._states)
-
-    def final(self):
-        return self._states[-1]
-
-    def is_closed(self):
-        return same_gauss(self.final(), self.start)
-
-    def inverse_moves(self):
-        """The moves that walk the path back from final() to start.  Only
-        moves with an evident inverse appear in generated loops, so this
-        is total on what the package produces."""
-        inv = [_invert(mv, st) for st, mv in zip(self._states, self._moves)]
-        return inv[::-1]
-
-    def reversed(self):
-        """The inverse loop."""
-        return Movie(self.final(), self.inverse_moves())
 
 
 def _invert(mv, state_before):

@@ -108,7 +108,8 @@ def test_gauss_of_trefoil_closure():
 
 def test_negative_loop_is_found_and_refused():
     # the smoothing at crossing 1 closes a loop of winding -1
-    from cocycle_lab.moves import MoveError, Movie, verify_movie
+    from cocycle_lab.cocycle import Movie
+    from cocycle_lab.moves import MoveError, verify_movie
     d = parse_morse('U 1 ; X+ 2 ; X+ 2 ; A 3 ; X+ 2', n=1, w0=3)
     assert d.gauss().homology_class == 1
     assert d.check_no_negative_loops() == (False, [1])

@@ -312,7 +312,7 @@ def test_knot_file_is_read(tmp_path, capsys):
     (['eval', '--push', '--knot', 'nonesuch', '--n', '2', '--a', '1'], 'E_KNOT'),
     (['loops', '--cube', '--n', '2', '--windings', '1', '1', '1'], 'E_HOST'),
     (['pairing', '--left', 'trefoil', '--right', 'trefoil', '--n', '2'], 'E_PLAN'),
-    (['eval', '--rot', '--tangle', 's1,s2', '--knot', 'trefoil', '--n', '3'],
+    (['eval', '--rot', '--tangle', 's2,s1', '--knot', 'trefoil', '--n', '3'],
      'E_PLAN'),
 ])
 def test_library_errors_carry_a_code(argv, code, capsys):
@@ -550,14 +550,14 @@ def test_oversized_cable_and_invariant_are_refused(nothing_built, capsys, argv):
 @pytest.mark.parametrize('flag', ['--rot', '--full-twist'])
 def test_twist_loops_that_cannot_resplit_are_refused_before_transport(
         monkeypatch, capsys, flag, n):
-    # the full twist on n >= 3 strands holds two generators, so it never
-    # resplits with the tangle; no move of the transport may be made
+    # a tangle that does not commute with the full twist as a word never
+    # resplits with it; no move of the transport may be made
     def reached(*args):
         raise AssertionError('the transport was reached')
 
     for name in ('follow', 'ray_pass'):
         monkeypatch.setattr(loops._Transport, name, reached)
-    tangle = ','.join(f's{g}' for g in range(1, n))
+    tangle = ','.join(f's{g}' for g in range(n - 1, 0, -1))
     argv = ['eval', flag, '--tangle', tangle, '--knot', 'trefoil', '--n', str(n),
             '--w1', '1', '--a', '1']
     assert run(argv) == 2

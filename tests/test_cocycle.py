@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cocycle_lab.cabling import LONG_TREFOIL, normalize_w1
-from cocycle_lab.cocycle import (CocycleError, TripleData, classify_r3,
+from cocycle_lab.cocycle import (CocycleError, CocycleReport, Movie, MoveRow,
+                                 TripleData, _contributions, classify_r3,
                                  evaluate, evaluate_all,
                                  interpolation_polynomial, polynomial_text)
 from cocycle_lab.loops import push_loop
@@ -320,6 +321,32 @@ MOVIE_FAMILIES = {
 }
 
 
+def walk_reference(movie, avals, report=False):
+    """The evaluation as a second pass: replay the movie, classify each
+    triple point move on the state before it, and take the counts for
+    the asked values of a only."""
+    n = movie.start.n
+    values = dict.fromkeys(avals, 0)
+    rows = {a: [] for a in avals}
+    for index, (before, mv, _) in enumerate(movie.steps(), 1):
+        if not isinstance(mv, R3):
+            continue
+        t = classify_r3(before, mv.slot)
+        marks, counted = t.marks, ()
+        md = marks['d']
+        if (t.global_type == 'r' and marks['hm'] == n and marks['ml'] == md
+                and (md == n or md in values)):
+            counted = _contributions(before.gauss(), t, n, avals)
+        for a, contrib, *_ in counted:
+            values[a] += contrib
+        own = {a: MoveRow(index, t, *counts) for a, *counts in counted}
+        for a in avals:
+            rows[a].append(own.get(a, MoveRow(index, t, 0)))
+    if not report:
+        return values
+    return {a: CocycleReport(n, a, values[a], rows[a]) for a in avals}
+
+
 @pytest.mark.parametrize("family", MOVIE_FAMILIES)
 def test_value_path_equals_the_report_path(family, monkeypatch):
     from cocycle_lab import cocycle
@@ -338,20 +365,32 @@ def test_value_path_equals_the_report_path(family, monkeypatch):
         r3s = sum(isinstance(mv, R3) for mv in movie.moves)
         r3_total += r3s
         n = movie.start.n
+        # building a movie classifies each triple point move once ...
+        del classified[:]
+        rebuilt = Movie(movie.start, movie.moves)
+        assert len(classified) == r3s
+        # ... and no evaluation, with or without report rows, classifies
         del classified[:]
         values = evaluate_all(movie)
-        assert len(classified) == r3s
         reports = evaluate_all(movie, report=True)
-        assert len(classified) == 2 * r3s
+        assert evaluate_all(rebuilt) == values
         assert values == {a: rep.value for a, rep in reports.items()}
         assert values == {a: sum(row.contrib for row in rep.rows)
                           for a, rep in reports.items()}
         assert sorted(values) == list(range(1, n))
+        singles = {}
         for a, rep in reports.items():
             assert (rep.n, rep.a) == (n, a) and len(rep.rows) == r3s
             assert evaluate(movie, a) == values[a]
-            single = evaluate(movie, a, report=True)
-            assert single.value == values[a] and single.rows == rep.rows
+            singles[a] = evaluate(movie, a, report=True)
+            assert singles[a].value == values[a] and singles[a].rows == rep.rows
             nonzero_rows += sum(any((row.w2p, row.lp, row.w2hm, row.contrib))
                                 for row in rep.rows)
+        assert classified == []
+        # the records give what a second pass over the replayed states gives
+        avals = range(1, n)
+        assert walk_reference(movie, avals) == values
+        assert walk_reference(movie, avals, report=True) == reports
+        for a, single in singles.items():
+            assert walk_reference(movie, (a,), report=True) == {a: single}
     assert (r3_total, nonzero_rows) == (r3_count, count_rows)

@@ -6,7 +6,8 @@ push value does not depend on the tangle's word in B_3 or on
 semi-regular changes of the knot; reversing a loop negates its value;
 the push value factors through v2 of the knot pushed; the first
 values that depend on a are pinned with their polynomials; and the scan
-value has a closed form in v2, n and w1.
+value has a closed form in v2, n and w1, which the rotation loop shares
+and the full-twist loop negates.
 """
 
 import random
@@ -201,3 +202,26 @@ def test_scan_closed_form(tangle, n):
         for w1 in (-1, 0, 1, 2):
             got = evaluate_all(scan_path(tangle, normalize_w1(text, w1), n))
             assert got == {a: -v * n * (n * w1 - 1) for a in range(1, n)}, (text, w1)
+
+
+@pytest.mark.parametrize('knot, w1, v, values', [
+    (LONG_TREFOIL, 1, 1, (-2, -6, -12)),
+    (LONG_FIG8, -1, -1, (-6, -12, -20)),
+    (LONG_TORUS25, 2, 3, (-18, -45, -84)),
+], ids=['trefoil', 'fig8', 'torus25'])
+@pytest.mark.parametrize('n, k', [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)])
+def test_rotation_of_a_tangle_that_commutes_with_the_twist(knot, w1, v, values, n, k):
+    # the tangle (s1 ... s(n-1))^k is a word that commutes with the full
+    # twist (s1 ... s(n-1))^n, so the twist resplits with it, and the
+    # closure is a knot for k prime to n: both twist loops close, and
+    # rotation = scan = -v2(K) * n * (n * w1 - 1) = -(full twist) at every a
+    value = values[n - 2]
+    assert value == -v * n * (n * w1 - 1)
+    tangle, text = list(range(1, n)) * k, normalize_w1(knot, w1)
+    rotation = rotation_loop(tangle, text, n)
+    twist = push_full_twist_loop(tangle, text, n)
+    assert rotation.is_closed() and twist.is_closed()
+    want = {a: value for a in range(1, n)}
+    assert evaluate_all(rotation) == want
+    assert evaluate_all(scan_path(tangle, text, n)) == want
+    assert evaluate_all(twist) == {a: -value for a in range(1, n)}

@@ -10,7 +10,8 @@ from cocycle_lab.cabling import (LONG_MIRROR_TREFOIL, LONG_TREFOIL,
                                  normalize_w1)
 from cocycle_lab.gauss import GaussDiagram
 from cocycle_lab.loops import push_loop
-from cocycle_lab.moves import (Movie, MoveError, R1Create, R1Delete, R2Create,
+from cocycle_lab.cocycle import Movie
+from cocycle_lab.moves import (MoveError, R1Create, R1Delete, R2Create,
                                R2Delete, R3, RayShift, Rearrange,
                                canonical_gauss_key, r3_triple, same_gauss,
                                verify_movie)

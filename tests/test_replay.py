@@ -7,10 +7,11 @@ After every move of every movie here, the replayed state must agree
 with the same event word built from scratch by the public, fully
 validating constructor.
 
-A movie applies each move once and records the state it leaves
-behind.  Every recorded state must equal the one a fresh replay gives,
-no edit of the list a movie hands out reaches its states, and each
-movie is replayed once.
+A movie applies each move once and keeps only its start, its moves,
+its final state and one record per triple point move.  Its final state
+and its records must equal what a fresh replay gives, no edit of the
+list a movie hands out reaches the movie, each movie is built by one
+replay, and evaluating it applies nothing.
 """
 
 import dataclasses
@@ -30,16 +31,16 @@ from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS27, LONG_TREFOIL,
                                  braid_events, closed_cable, long_events,
                                  normalize_w1)
 from cocycle_lab.cli import run
-from cocycle_lab.cocycle import evaluate_all
+from cocycle_lab.cocycle import Movie, classify_r3, evaluate_all
 from cocycle_lab.discriminant import (GLOBAL_TYPES, HostError,
                                       commutation_loop, meridian_loop,
                                       quad_host, random_contractible_loop,
                                       tangency_host, tangency_loop)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop,
                                rotation_loop, scan_path)
-from cocycle_lab.moves import (Exchange, Move, Movie, MoveError, R1Create,
-                               R1Delete, R2Create, R2Delete, R3, RayShift,
-                               Rearrange, r3_triple)
+from cocycle_lab.moves import (Exchange, Move, MoveError, R1Create, R1Delete,
+                               R2Create, R2Delete, R3, RayShift, Rearrange,
+                               r3_triple)
 
 TREFOIL1 = normalize_w1(LONG_TREFOIL, 1)
 FIG8_M1 = normalize_w1(LONG_FIG8, -1)
@@ -846,7 +847,8 @@ def test_check_raises_exactly_when_apply_raises(data):
 
 
 # ---------------------------------------------------------------------------
-# Recorded states: a movie keeps the state each move left behind
+# What a movie records: its start, its moves, its final state and one
+# record per triple point move
 
 def _count_applies(monkeypatch):
     """The (move, state) pairs every Move.apply receives from now on; the
@@ -903,9 +905,19 @@ def assert_fresh_replay_matches(movie, states):
 def test_recorded_states_match_a_fresh_replay(label, monkeypatch):
     movie = RECORDED_MOVIES[label]()
     calls = _count_applies(monkeypatch)
+    final = movie.final()
+    rows = evaluate_all(movie, report=True)[1].rows
+    assert calls == [], "a built movie is read and evaluated from its records"
     states = movie.states()
-    assert calls == [], "a built movie replays from its recorded states"
+    assert len(calls) == len(movie.moves), "states replays each move once"
+    assert states[0] is movie.start
     assert_fresh_replay_matches(movie, states)
+    assert_same_state(final, states[-1], "final state")
+    # one record per triple point move, taken on the state before it
+    assert [(row.index, row.triple) for row in rows] == [
+        (k, classify_r3(before, mv.slot))
+        for k, (before, mv) in enumerate(zip(states, movie.moves), 1)
+        if isinstance(mv, R3)]
 
 
 @pytest.mark.parametrize("label", list(RECORDED_MOVIES))
@@ -930,18 +942,22 @@ def test_contractible_walk_applies_each_move_once(seed, monkeypatch):
         assert len(calls) == len(movie.moves) > 0, name
 
 
-def assert_states_unchanged(movie, moves, states):
-    """movie still holds the given moves and the very same state objects."""
+def assert_states_unchanged(movie, moves, final, states):
+    """movie still holds the given moves, the very same start and final
+    state, and replays to the given states."""
     assert movie.moves == moves
+    assert movie.start is states[0] and movie.final() is final
     after = movie.states()
     assert len(after) == len(states)
-    assert all(a is b for a, b in zip(after, states))
+    for k, (got, want) in enumerate(zip(after, states)):
+        assert_same_state(got, want, f"state {k}")
 
 
 def test_edited_moves_replay_from_the_first_changed_index(monkeypatch):
     movie = push_loop([1], TREFOIL1, 2)
     m = len(movie.moves)
-    moves, old = movie.moves, movie.states()
+    moves, final, old = movie.moves, movie.final(), movie.states()
+    values = evaluate_all(movie)
     calls = _count_applies(monkeypatch)
     k = m // 2
 
@@ -951,50 +967,59 @@ def test_edited_moves_replay_from_the_first_changed_index(monkeypatch):
     edited[k] = dataclasses.replace(edited[k])
     del edited[k + 1:]
     assert calls == []
-    assert_states_unchanged(movie, moves, old)
+    assert evaluate_all(movie) == values and calls == []
+    assert_states_unchanged(movie, moves, final, old)
     with pytest.raises(AttributeError):
         movie.start = old[1]
     assert movie.start is old[0]
 
     # the edited path replays from the first changed index: a movie
-    # started at the recorded state k applies only the moves from k on
+    # started at the replayed state k applies only the moves from k on
+    calls.clear()
     rest = movie.moves[k:]
     rest[0] = dataclasses.replace(rest[0])
     tail = Movie(old[k], rest)
     assert len(calls) == m - k
     assert tail.start is old[k]
-    for j, state in enumerate(tail.states()):
-        assert_same_state(state, old[k + j], f"state {k + j}")
-    assert_fresh_replay_matches(tail, tail.states())
+    assert_same_state(tail.final(), old[-1], "final state")
     calls.clear()
-    tail.states(), tail.final(), list(tail.steps())
+    states = tail.states()
+    assert len(calls) == m - k
+    for j, state in enumerate(states):
+        assert_same_state(state, old[k + j], f"state {k + j}")
+    assert_fresh_replay_matches(tail, states)
+    calls.clear()
+    tail.final(), tail.is_closed(), evaluate_all(tail, report=True)
     assert calls == []
 
 
 def test_edits_that_change_the_states_yield_no_stale_state(monkeypatch):
     cables = [d for _, d in verify.corpus_diagrams()]
     movie = Movie(cables[0], [R2Create(0, 1, '+'), R2Delete(0), RayShift(1)])
-    moves, old = movie.moves, movie.states()
+    moves, final, old = movie.moves, movie.final(), movie.states()
     calls = _count_applies(monkeypatch)
 
     # a different move in a copy of the list does not reach the movie
     edited = movie.moves
     edited[0] = R2Create(0, 1, '-')
-    assert_states_unchanged(movie, moves, old)
+    assert_states_unchanged(movie, moves, final, old)
 
     # a movie of the edited moves applies each of them to its own states
+    calls.clear()
     rebuilt = Movie(cables[0], edited)
-    states = rebuilt.states()
     assert len(calls) == 3
+    states = rebuilt.states()
     assert states[1].events != old[1].events
+    assert_same_state(rebuilt.final(), states[3], "final state")
     assert_fresh_replay_matches(rebuilt, states)
 
     # a different start diagram the same moves apply to
     calls.clear()
     moved = Movie(cables[1], moves)
-    states = moved.states()
     assert len(calls) == 3
+    states = moved.states()
     assert states[0] is cables[1] and states[3].events != old[3].events
+    assert_same_state(moved.final(), states[3], "final state")
     assert_fresh_replay_matches(moved, states)
 
     # a movie holds a valid path: a move that does not apply raises at once
@@ -1005,20 +1030,22 @@ def test_edits_that_change_the_states_yield_no_stale_state(monkeypatch):
 
 def test_append_extends_from_the_true_final_state(monkeypatch):
     movie = push_loop([1], TREFOIL1, 2)
-    moves, old = movie.moves, movie.states()
+    moves, final, old = movie.moves, movie.final(), movie.states()
     k = len(moves) // 2
     calls = _count_applies(monkeypatch)
 
     # a cut of the list from movie.moves does not reach the movie: append
-    # applies only its own move, to the recorded final state
+    # applies only its own move, to the kept final state
     edited = movie.moves
     del edited[k:]
     after = movie.append(RayShift(1))
-    assert len(calls) == 1 and calls[0][1] is old[-1]
+    assert len(calls) == 1 and calls[0][1] is final
     assert movie.moves == moves + [RayShift(1)]
     assert after is movie.final()
     states = movie.states()
-    assert all(a is b for a, b in zip(states, old))
+    for j, (got, want) in enumerate(zip(states, old)):
+        assert_same_state(got, want, f"state {j}")
+    assert_same_state(after, states[-1], "final state")
     assert_fresh_replay_matches(movie, states)
 
     # the same after a move in a copy of the list is replaced
@@ -1031,7 +1058,9 @@ def test_append_extends_from_the_true_final_state(monkeypatch):
     after = movie.append(RayShift(1))
     assert len(calls) == 1 and calls[0][1] is final
     assert after is movie.final()
-    assert_fresh_replay_matches(movie, movie.states())
+    states = movie.states()
+    assert_same_state(after, states[-1], "final state")
+    assert_fresh_replay_matches(movie, states)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,12 +1091,47 @@ def test_cube_suite_applies_each_move_once(monkeypatch):
         return check_loop_zero(rep, movie, case)
 
     monkeypatch.setattr(verify, '_check_loop_zero', collect)
-    calls = _count_applies(monkeypatch)
+    # (id(move), id(state)) -> (move, state, [states it left]); the entry
+    # keeps the move and the state alive, so their ids stay unique
+    applied = {}
+    for cls in Move.__subclasses__():
+        def recorded(self, diagram, _apply=cls.apply):
+            after = _apply(self, diagram)
+            applied.setdefault((id(self), id(diagram)), (self, diagram, []))[2].append(after)
+            return after
+        monkeypatch.setattr(cls, 'apply', recorded)
     assert verify.run_suite('cube').passed
-    applied = Counter((id(mv), id(state)) for mv, state in calls)
-    assert movies and max(applied.values()) == 1
-    total = len(calls)
+    assert movies and all(len(left) == 1 for _, _, left in applied.values())
+    # each checked loop's moves were applied once each, in a chain from
+    # its start to its final state
+    total = len(applied)
     for movie in movies:
-        for before, mv, _ in movie.steps():
-            assert applied[id(mv), id(before)] == 1, repr(mv)
-    assert len(calls) == total
+        state = movie.start
+        for mv in movie.moves:
+            _, _, (state,) = applied[id(mv), id(state)]
+        assert state is movie.final()
+    assert len(applied) == total
+
+
+# ---------------------------------------------------------------------------
+# A movie keeps no intermediate state
+
+def test_a_long_push_movie_holds_only_its_ends_and_records():
+    # push torus27 w1=2 at n = 8: 6,311 moves on a word of 519 crossings.
+    # Each state of it takes about 11 kB, so keeping them all takes about
+    # 70 MB; the start, the final state, the moves and the 896 triple
+    # point records take under 2 MB
+    import gc
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        movie = push_loop(list(range(1, 8)), TORUS27_2, 8)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(movie.moves) == 6311
+    assert sum(isinstance(mv, R3) for mv in movie.moves) == 896
+    assert held < 5_000_000, held

@@ -101,7 +101,7 @@ def test_report_summary_text():
 
 def _loop_and_open_path():
     from cocycle_lab.discriminant import meridian_loop, quad_host, GLOBAL_TYPES
-    from cocycle_lab.moves import Movie
+    from cocycle_lab.cocycle import Movie
     host, slot = quad_host(GLOBAL_TYPES[1], (0, 0, 0, 3), 3)
     loop = meridian_loop(host, slot)
     return loop, Movie(host, loop.moves[:1])
@@ -138,8 +138,15 @@ def test_loop_check_reports_an_open_path_before_an_evaluation_error(monkeypatch)
     def broken(*args, **kwargs):
         raise cocycle.CocycleError("unclassifiable")
 
-    monkeypatch.setattr(cocycle, 'classify_r3', broken)
+    # a triple point move that cannot be classified raises as its movie
+    # is built
+    with monkeypatch.context() as m:
+        m.setattr(cocycle, 'classify_r3', broken)
+        with pytest.raises(cocycle.CocycleError, match="unclassifiable"):
+            _loop_and_open_path()
+    # an open path is reported before any evaluation, a loop is evaluated
     loop, path = _loop_and_open_path()
+    monkeypatch.setattr(verify, 'evaluate_all', broken)
     rep = verify.SuiteReport('t')
     verify._check_loop_zero(rep, path, 'path')
     assert [f.detail for f in rep.failures] == ['loop does not close']
