@@ -107,8 +107,9 @@ LONG_FIG8_W1 = LONG_FIG8 + " ; U 2 ; X+ 2 ; A 1"
 
 
 def long_w1(text):
-    """The degree-one invariant (the framing) of a long knot word."""
-    return w1(AnnularDiagram(1, long_events(text), w0=1).gauss())
+    """The degree-one invariant (the framing) of a long knot word; blank
+    text is the bare ring, with w1 = 0."""
+    return w1(parse_morse(text, n=1).gauss())
 
 
 def normalize_w1(text, target):

@@ -383,7 +383,7 @@ def build_parser():
     p = sub.add_parser('verify', help='run property suites')
     p.add_argument('--suite', choices=sorted(verify.SUITES), default=None)
     p.add_argument('--n', type=int, default=None,
-                   help='class n of the loops; used by the '
+                   help='class n >= 2 of the loops; used by the '
                         f"{' and '.join(verify.SUITES_WITH_N)} suites only")
     p.add_argument('--report', default=None)
     p.set_defaults(func=_cmd_verify)
@@ -409,7 +409,7 @@ def build_parser():
 def _check_n(args):
     """The class n is at least 1, and the cocycle's parameter range
     0 < a < n needs n >= 2."""
-    least = 2 if args.command in ('eval', 'pairing') else 1
+    least = 2 if args.command in ('eval', 'pairing', 'verify') else 1
     if getattr(args, 'n', None) is not None and args.n < least:
         raise UsageError(f"E_ARGS: {args.command} needs --n >= {least}, "
                          f"got {args.n}")

@@ -282,10 +282,12 @@ def walk(movie, avals, report=False):
 def evaluate(movie, a, report=False):
     """Value of the parameter-a cocycle on a movie of class n.
 
-    The parameter must satisfy 0 < a < n.  Returns an int, or with report
-    a CocycleReport carrying one row per triple point move.
+    The parameter must be an int with 0 < a < n.  Returns an int, or with
+    report a CocycleReport carrying one row per triple point move.
     """
     n = movie.start.n
+    if type(a) is not int:
+        raise CocycleError(f"parameter a={a!r} is not an integer")
     if not 0 < a < n:
         raise CocycleError(f"parameter a={a} outside 0 < a < {n}")
     return walk(movie, (a,), report)[a]

@@ -27,13 +27,6 @@ def ray_starts(tokens):
     return [i for i, tok in enumerate(tokens) if tok[0] == 'r'] or range(len(tokens))
 
 
-def _ray_count(tokens, start, stop):
-    """Signed count of the ray passages on the cyclic arc start -> stop,
-    the start token included."""
-    arc = tokens[start:stop] if start <= stop else tokens[start:] + tokens[:stop]
-    return arc.count(('r', 1)) - arc.count(('r', -1))
-
-
 @dataclass
 class GaussDiagram:
     """Marked Gauss diagram of a knot in the solid torus.
@@ -45,15 +38,12 @@ class GaussDiagram:
     Nothing changes tokens or signs after construction: moves that edit
     the Gauss data build a new diagram, and states whose Gauss data a
     move keeps share this object.  The token positions are indexed at
-    construction, and the markings are computed on first use.  No local
-    move moves a ray passage, so the local edits carry what they can
-    instead: a triple point move (transposed) copies the parent's index
-    and moves six entries of it, and shares the parent's signs and
-    markings; a tangency move (edited) indexes its tokens afresh and
-    copies the parent's markings.  A ray shift of a crossing (ray_moved)
-    moves two ray passages past that crossing's tokens, indexes its
-    tokens afresh and shares the parent's signs and markings.  So a chain
-    of such moves runs the markings prefix sum once.
+    construction, and the markings are computed on first use, by the one
+    prefix sum in markings().  Moves that insert, drop or rotate tokens
+    build their diagram here from the edited list.  Only a triple point
+    move (transposed) derives one from its parent: it copies the
+    parent's index and moves six entries of it, and shares the parent's
+    signs and markings, which classifying the move computes anyway.
 
     The last triangle asked of a diagram (moves.r3_token_pairs) is kept,
     keyed by its three crossing ids: R3.apply finds it once and
@@ -114,39 +104,6 @@ class GaussDiagram:
         g = GaussDiagram.__new__(GaussDiagram)
         g.tokens, g.signs, g._pos = tokens, self.signs, pos
         g._marks, g._triangle = self.markings(), (None, None)
-        return g
-
-    def edited(self, cuts, signs):
-        """The Gauss diagram a tangency move leaves behind.
-
-        cuts lists (start, stop, new) in increasing, disjoint index
-        order; tokens[start:stop] is replaced by new.  A tangency move
-        inserts or drops crossing tokens and moves no ray passage, so
-        every crossing that stays keeps its marking: the parent's
-        markings (computed here if need be) are copied, and a new
-        crossing's marking is read off the ray passages on the arc from
-        its overpass to its underpass.  The token positions are indexed
-        afresh.
-        """
-        tokens = list(self.tokens)
-        for start, stop, new in reversed(cuts):
-            tokens[start:stop] = new
-        g = GaussDiagram(tokens, signs)
-        old, pos = self.markings(), g._pos
-        g._marks = {cid: old[cid] if cid in old
-                    else _ray_count(tokens, pos[('h', cid)], pos[('f', cid)])
-                    for cid in signs}
-        return g
-
-    def ray_moved(self, tokens):
-        """The Gauss diagram a ray shift of a crossing leaves behind:
-        tokens is this list with ray passages moved past crossing tokens,
-        rotated to its new anchor.  Moving the cut changes no sign and no
-        marking, so the new diagram shares the parent's signs, and its
-        markings dict once computed; the token positions are indexed
-        afresh."""
-        g = GaussDiagram(tokens, self.signs)
-        g._marks = self._marks
         return g
 
     def in_open_arc(self, idx, start, stop):

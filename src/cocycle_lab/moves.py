@@ -13,8 +13,8 @@ turnback, zigzag cancellation.
 Slots index the gaps of the cyclic event word: slot t sits just before
 event t, slot 0 at the ray.
 
-Each move a random walk proposes (R1Delete, R2Create, R2Delete, R3,
-Exchange) states its validity rule once, in check: it raises the move's
+R1Delete and each move a random walk proposes (R2Create, R2Delete, R3,
+Exchange) state their validity rule once, in check: it raises the move's
 error or returns what apply needs, and apply starts by calling it.
 R2Delete, Exchange and R3 match their pattern with a function of (events,
 slot) that returns the events or None (cancelling_pair, exchange_pair,
@@ -24,17 +24,21 @@ Moves whose effect on the Gauss diagram is local (Exchange, R3, R2Create,
 R2Delete, R1Delete and a Rearrange that passes its window check) splice
 their parent state (AnnularDiagram.spliced): the window's events, and
 its widths and Gauss data where they change, are replaced without
-walking the whole diagram again, and both deletions drop their
-crossings' tokens (_drop).  A Rearrange whose old and new windows hold
-crossings only passes when the two differ by far commutations, that is
-when, for every position i, the crossings at i and i + 1 appear as the
-same sequence of events in both; a window with a cup or a cap is
-compared by one sweep of each (annular.window_strands).  A ray shift of
-a crossing splices in the rotated word and moves the crossing's two ray
-passages past its tokens (_ray_moved).  Kink creations, ray shifts of a
-cup or cap, a Rearrange that fails its window check, and an R2Create or
-ray shift whose tokens do not decide the edit build and validate their
-result in full.
+walking the whole diagram again.  Both deletions filter their
+crossings' tokens out of the list (_drop), R2Create inserts two token
+pairs into a copy of it, and a ray shift of a crossing moves the
+crossing's two ray passages past its tokens and rotates the list
+(_ray_moved); each builds its GaussDiagram from the new list, whose
+markings are computed when something reads them.  R3 alone derives its
+diagram from the parent's (GaussDiagram.transposed).  A Rearrange whose
+old and new windows hold crossings only passes when the two differ by
+far commutations, that is when, for every position i, the crossings at
+i and i + 1 appear as the same sequence of events in both; a window
+with a cup or a cap is compared by one sweep of each
+(annular.window_strands).  Kink creations, ray shifts of a cup or cap,
+a Rearrange that fails its window check, and an R2Create or ray shift
+whose tokens do not decide the edit build and validate their result in
+full.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 from .annular import (AnnularDiagram, DiagramError, MorseEvent, _crossing,
                       fits, token_gap, window_strands)
-from .gauss import ray_starts
+from .gauss import GaussDiagram, ray_starts
 
 
 class MoveError(ValueError):
@@ -125,13 +129,12 @@ def _drop(diagram, slot, count, cids):
     """The state left when the count events at slot, a kink or a
     tangency pair of the crossings cids, are deleted.  Removing a kink
     or a bigon cannot disconnect the knot and moves no ray passage, so
-    the Gauss data loses the crossings' tokens and signs, and every
-    other crossing keeps its sign and marking (GaussDiagram.edited)."""
+    the Gauss data loses the crossings' tokens and signs and nothing
+    else."""
     g = diagram.gauss()
-    gone = sorted(g.position(k, cid) for cid in cids for k in 'hf')
+    tokens = [tok for tok in g.tokens if tok[0] == 'r' or tok[1] not in cids]
     signs = {cid: sg for cid, sg in g.signs.items() if cid not in cids}
-    return diagram.spliced(slot, count, (),
-                           g.edited([(i, i + 1, ()) for i in gone], signs), ())
+    return diagram.spliced(slot, count, (), GaussDiagram(tokens, signs), ())
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,9 @@ class R2Create(Move):
     over_first is '+'.  So the Gauss data changes by a pair of tokens
     inserted where each strand crosses the slot (annular.token_gap), in
     word order or reversed with the strand's direction, and the two
-    crossings get opposite signs (GaussDiagram.edited).  Where the tokens
-    do not decide the gaps, or both strands sit in one gap, the word is
+    crossings get opposite signs.  The pairs go into a copy of the token
+    list, from which the new GaussDiagram is built.  Where the tokens do
+    not decide the gaps, or both strands sit in one gap, the word is
     built in full.
     """
 
@@ -186,13 +190,15 @@ class R2Create(Move):
                                   w0=diagram.w0)
         (ja, da), (jb, db) = gaps
         ka, kb = ('h', 'f') if self.over_first == '+' else ('f', 'h')
-        cuts = sorted([(ja, ja, [(ka, c1), (ka, c2)][::da]),
-                       (jb, jb, [(kb, c1), (kb, c2)][::db])])
         g = diagram.gauss()
+        tokens = list(g.tokens)
+        for j, new in sorted([(ja, [(ka, c1), (ka, c2)][::da]),
+                              (jb, [(kb, c1), (kb, c2)][::db])], reverse=True):
+            tokens[j:j] = new
         signs = dict(g.signs)
         signs[c1] = da * db * (1 if self.over_first == '+' else -1)
         signs[c2] = -signs[c1]
-        return diagram.spliced(s, 0, pair, g.edited(cuts, signs), (ws, ws))
+        return diagram.spliced(s, 0, pair, GaussDiagram(tokens, signs), (ws, ws))
 
 
 def cancelling_pair(events, slot):
@@ -307,13 +313,14 @@ class RayShift(Move):
     A crossing keeps w0 and every sign and marking: the word and its
     widths rotate by one event, spliced in whole, and on each of the
     crossing's strands its token changes places with the ray passage
-    next to it (_ray_moved).  A crossing at position 1 moves the passage
-    that anchors the token list, so the list is rotated to start at the
-    new passage of position 1, or to end at it where the knot runs
-    backward there, as AnnularDiagram._traverse orients it.  A cup or
-    cap changes w0 and the number of passages; no planner shifts one,
-    and it is built and validated in full, as is a crossing whose tokens
-    do not decide the edit.
+    next to it (_ray_moved), and the new GaussDiagram is built from that
+    list.  A crossing at position 1 moves the passage that anchors the
+    token list, so the list is rotated to start at the new passage of
+    position 1, or to end at it where the knot runs backward there, as
+    AnnularDiagram._traverse orients it.  A cup or cap changes w0 and
+    the number of passages; no planner shifts one, and it is built and
+    validated in full, as is a crossing whose tokens do not decide the
+    edit.
     """
 
     direction: int = 1
@@ -369,7 +376,7 @@ def _ray_moved(g, ev, d):
             new = new[j + 1:] + new[:j + 1]
         else:
             return None             # a class-0 walk would turn the knot around
-    return g.ray_moved(new)
+    return GaussDiagram(new, g.signs)
 
 
 def exchange_pair(events, slot):

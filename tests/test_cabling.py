@@ -1,10 +1,12 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocycle_lab.annular import AnnularDiagram
-from cocycle_lab.cabling import (LONG_FIG8, LONG_TREFOIL, braid_events,
-                                 closed_cable, full_twist_word,
-                                 insert_local_knot, long_events, n_cable,
-                                 n_curl, normalize_w1)
+from cocycle_lab.cabling import (LONG_FIG8, LONG_FIG8_W1, LONG_TREFOIL,
+                                 braid_events, closed_cable, full_twist_word,
+                                 insert_local_knot, long_events, long_w1,
+                                 n_cable, n_curl, normalize_w1)
+from cocycle_lab.cli import BUILTIN_KNOTS
 from cocycle_lab.gauss import v2, w1
 
 
@@ -56,6 +58,22 @@ def test_normalize_w1_hits_target():
         text = normalize_w1(LONG_TREFOIL, target)
         g = closed_cable([], long_events(text), 1).gauss()
         assert w1(g) == target
+
+
+@pytest.mark.parametrize('text, want', [
+    *((BUILTIN_KNOTS[name], want) for name, want in (
+        ('unknot', 0), ('trefoil', 1), ('mirror-trefoil', -2), ('fig8', 0),
+        ('torus25', 2), ('torus27', 3))),
+    (LONG_FIG8_W1, -1), (normalize_w1(LONG_TREFOIL, 3), 3), ('  ', 0)])
+def test_long_w1_builds_the_long_word_once(monkeypatch, text, want):
+    calls = []
+    validate = AnnularDiagram.validate
+    monkeypatch.setattr(AnnularDiagram, 'validate',
+                        lambda self: calls.append(self) or validate(self))
+    assert long_w1(text) == want
+    assert len(calls) == 1
+    # the same count on the closed-up word, built in full
+    assert w1(closed_cable([], long_events(text), 1).gauss()) == want
 
 
 def test_normalize_w1_keeps_the_knot():

@@ -249,6 +249,9 @@ def test_verify_n_applies_to_suites_that_take_it(capsys):
     ['eval', '--push', '--tangle', 's1', '--knot', 'trefoil', '--n', '1'],
     ['eval', '--push', '--knot', 'trefoil', '--n', '1', '--a', '1'],
     ['pairing', '--left', 'unknot', '--right', 'trefoil', '--n', '1'],
+    ['verify', '--suite', 'tetrahedron', '--n', '1'],
+    ['verify', '--suite', 'cube', '--n', '1'],
+    ['verify', '--n', '1'],
 ])
 def test_bad_n_is_a_usage_error(argv, capsys):
     assert run(argv) == 2

@@ -23,6 +23,16 @@ def test_parameter_range_enforced():
         evaluate(movie, 2)
 
 
+@pytest.mark.parametrize('a', [1.5, 2.0, 1.0, True, '1', None])
+def test_a_parameter_that_is_not_an_int_is_refused(a):
+    movie = push_loop([1, 2], normalize_w1(LONG_TREFOIL, 1), 3)
+    assert evaluate(movie, 1) == evaluate(movie, 2) == 2
+    with pytest.raises(CocycleError, match='not an integer'):
+        evaluate(movie, a)
+    with pytest.raises(CocycleError, match='not an integer'):
+        evaluate(movie, a, report=True)
+
+
 def test_report_rows_cover_every_triple_move():
     movie = trefoil_push()
     rep = evaluate(movie, 1, report=True)
