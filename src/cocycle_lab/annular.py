@@ -20,6 +20,7 @@ backward strands over the ray without corrupting any marking.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .gauss import DiagramError, GaussDiagram
 
@@ -27,14 +28,17 @@ from .gauss import DiagramError, GaussDiagram
 _DELTA = {'U': 2, 'A': -2, 'X': 0}
 
 
-class MorseEvent:
-    """One elementary event of a Morse word: an immutable value, equal
-    to and hashed as any event with the same four fields.  The validating
-    constructor sets them once through the slot descriptors."""
+class MorseEvent(namedtuple('MorseEvent', 'kind pos over cid')):
+    """One elementary event of a Morse word: an immutable named tuple of
+    its four fields, equal to and hashed as the plain tuple of them.
+    Construction validates the fields; copies and unpickling go back
+    through the constructor and so validate again.  The inherited
+    _make and _replace skip validation, so the package never calls
+    them."""
 
-    __slots__ = ('kind', 'pos', 'over', 'cid')
+    __slots__ = ()
 
-    def __init__(self, kind, pos, over='', cid=-1):
+    def __new__(cls, kind, pos, over='', cid=-1):
         # kind 'U', 'A' or 'X'; pos 1-based; over, for 'X', '+' when the
         # ascending strand passes over, '-' under; cid -1 for cups/caps
         if kind not in ('U', 'A', 'X'):
@@ -43,31 +47,7 @@ class MorseEvent:
             raise DiagramError('E_POS', f"position {pos} out of range")
         if kind == 'X' and over not in ('+', '-'):
             raise DiagramError('E_OVER', f"crossing needs over flag, got {over!r}")
-        _set_kind(self, kind)
-        _set_pos(self, pos)
-        _set_over(self, over)
-        _set_cid(self, cid)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"MorseEvent is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not MorseEvent:
-            return NotImplemented
-        return (self.kind == other.kind and self.pos == other.pos
-                and self.over == other.over and self.cid == other.cid)
-
-    def __hash__(self):
-        return hash((self.kind, self.pos, self.over, self.cid))
-
-    def __repr__(self):
-        return (f"MorseEvent(kind={self.kind!r}, pos={self.pos!r}, "
-                f"over={self.over!r}, cid={self.cid!r})")
-
-    def __reduce__(self):
-        return MorseEvent, (self.kind, self.pos, self.over, self.cid)
+        return tuple.__new__(cls, (kind, pos, over, cid))
 
     @property
     def delta(self):
@@ -79,20 +59,11 @@ class MorseEvent:
         return f"{self.kind} {self.pos}"
 
 
-_set_kind, _set_pos, _set_over, _set_cid = (
-    MorseEvent.__dict__[name].__set__ for name in MorseEvent.__slots__)
-
-
 def _crossing(pos, over, cid):
     """A crossing event from fields that validated events already hold,
-    set without checking them again: only R3.apply calls it, with its
-    parent's positions, flags and ids permuted."""
-    ev = object.__new__(MorseEvent)
-    _set_kind(ev, 'X')
-    _set_pos(ev, pos)
-    _set_over(ev, over)
-    _set_cid(ev, cid)
-    return ev
+    made as a tuple without checking them again: only R3.apply calls it,
+    with its parent's positions, flags and ids permuted."""
+    return tuple.__new__(MorseEvent, ('X', pos, over, cid))
 
 
 _EVENT_RE = re.compile(r'^(U|A|X\+|X-)\s+(\d+)$')
@@ -194,14 +165,12 @@ def window_strands(events, widths):
     toks = [[] for _ in at]
     link = [v for p in range(1, w + 1) for v in ((0, p), None)]
     crossings = []
-    for ev in events:
-        i = ev.pos - 1
-        kind = ev.kind
+    for kind, pos, over, cid in events:
+        i = pos - 1
         if kind == 'X':
             a, b = at[i], at[i + 1]
-            cid = ev.cid
             # line 1, the strand ascending from i to i + 1, is segment a
-            if ev.over == '+':
+            if over == '+':
                 toks[a].append(('h', cid))
                 toks[b].append(('f', cid))
                 crossings.append((cid, 1, a, b))
@@ -364,7 +333,7 @@ class AnnularDiagram:
     def validate(self):
         w = [self.w0]
         for ev in self.events:
-            w.append(w[-1] + ev.delta)
+            w.append(w[-1] + _DELTA[ev.kind])
         if w.pop() != self.w0:
             raise DiagramError('E_WIDTH', "cyclic word does not preserve width")
         for t, ev in enumerate(self.events):

@@ -35,14 +35,9 @@ def bundle_swap_rows(p, n):
 
 
 def n_cable(events, n):
-    """n-cable of a Morse word.
-
-    Returns (cabled events, cid map); the map sends each original
-    crossing id to its n*n block ids in word order, numbered from one
-    above the word's largest id.
-    """
+    """n-cable of a Morse word: each crossing becomes its n*n block in
+    word order, with ids numbered from one above the word's largest."""
     out = []
-    cid_map = {}
     nxt = max([e.cid for e in events if e.kind == 'X'], default=0) + 1
     for ev in events:
         q = n * (ev.pos - 1) + 1
@@ -51,14 +46,11 @@ def n_cable(events, n):
         elif ev.kind == 'A':
             out.extend(MorseEvent('A', q + n - 1 - k) for k in range(n))
         else:
-            ids = []
             for row in bundle_swap_rows(q, n):
                 for pos in row:
                     out.append(MorseEvent('X', pos, ev.over, nxt))
-                    ids.append(nxt)
                     nxt += 1
-            cid_map[ev.cid] = ids
-    return out, cid_map
+    return out
 
 
 def renumber(events, cid_start=1):
@@ -81,8 +73,7 @@ def shift_events(events, offset):
 
 def closed_cable(tangle_events, long_events, n):
     """Class-n diagram [ray][tangle][n-cable of the long knot word]."""
-    cable, _ = n_cable(long_events, n)
-    events = renumber(list(tangle_events) + cable)
+    events = renumber(list(tangle_events) + n_cable(long_events, n))
     return AnnularDiagram(n, events, w0=n)
 
 
@@ -90,7 +81,7 @@ def n_curl(n):
     """n-cable of a single positive kink looping above the base strand:
     the curl every strand of the diagram gets dragged through in the
     rotation loop."""
-    return n_cable(R1Create(0, 1, '+', 'above', cid=1).kink_events(), n)[0]
+    return n_cable(R1Create(0, 1, '+', 'above', cid=1).kink_events(), n)
 
 
 # ---------------------------------------------------------------------------

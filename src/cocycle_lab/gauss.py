@@ -106,11 +106,6 @@ class GaussDiagram:
         g._marks, g._triangle = self.markings(), (None, None)
         return g
 
-    def in_open_arc(self, idx, start, stop):
-        """Is token index idx strictly inside the arc start -> stop?"""
-        size = len(self.tokens)
-        return 0 < (idx - start) % size < (stop - start) % size
-
     def canonical_tokens(self):
         """Cyclic-rotation-invariant token tuple, for planar-equality tests."""
         toks = tuple(self.tokens)

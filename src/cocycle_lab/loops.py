@@ -241,9 +241,8 @@ def _twist_transport(tangle_word, long_text, n, d):
     [tangle][n-cable][full twist] in direction d."""
     levs = long_events(long_text)
     tangle = braid_events(tangle_word)
-    cable, _ = n_cable(levs, n)
     twist = braid_events([g for g in full_twist_word(n)])
-    events = renumber(list(tangle) + cable + twist)
+    events = renumber(list(tangle) + n_cable(levs, n) + twist)
     start = AnnularDiagram(n, events, w0=n)
     units = ([_Unit('tangle', len(tangle), 1)] + _cable_units(levs, n)
              + [_Unit('mover', len(twist), 1)])

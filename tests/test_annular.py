@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cocycle_lab import moves
+from cocycle_lab import annular, moves
 from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
                                  format_morse, parse_morse, strand_step,
                                  window_strands)
@@ -35,6 +35,17 @@ def test_event_validation():
     # the full-build, cube and CLI digests hash this text
     assert repr(ev) == "MorseEvent(kind='X', pos=2, over='-', cid=7)"
     assert repr(MorseEvent('U', 1)) == "MorseEvent(kind='U', pos=1, over='', cid=-1)"
+
+    # a named tuple: it unpacks, equals and hashes as the plain tuple of
+    # its fields (so the digests cannot drift), and takes keywords
+    kind, pos, over, cid = ev
+    assert (kind, pos, over, cid) == ('X', 2, '-', 7)
+    assert ev == ('X', 2, '-', 7)
+    assert hash(ev) == hash(('X', 2, '-', 7))
+    assert MorseEvent(kind='X', pos=2, over='-', cid=7) == ev
+    # R3's unvalidated constructor gives the same value and type
+    assert annular._crossing(2, '-', 7) == ev
+    assert type(annular._crossing(2, '-', 7)) is MorseEvent
 
 
 def test_event_copies_and_pickles_are_equal_immutable_events():

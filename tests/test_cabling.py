@@ -21,20 +21,20 @@ def test_full_twist_word_length():
 
 
 def test_cable_crossing_count():
-    base = long_events(LONG_TREFOIL)
-    cabled, cid_map = n_cable(base, 3)
-    xs = [e for e in cabled if e.kind == 'X']
-    assert len(xs) == 3 * 9
-    assert all(len(ids) == 9 for ids in cid_map.values())
+    base = [e for e in long_events(LONG_TREFOIL) if e.kind == 'X']
+    xs = [e for e in n_cable(long_events(LONG_TREFOIL), 3) if e.kind == 'X']
+    assert len(xs) == len(base) * 9 == 3 * 9
+    # fresh ids in word order, from one above the word's largest
+    assert [e.cid for e in xs] == list(range(4, 4 + 27))
 
 
 def test_cable_preserves_over_flags():
-    base = long_events(LONG_FIG8)
-    cabled, cid_map = n_cable(base, 2)
-    flags = {e.cid: e.over for e in cabled if e.kind == 'X'}
-    for orig in base:
-        if orig.kind == 'X':
-            assert all(flags[c] == orig.over for c in cid_map[orig.cid])
+    # each original crossing becomes the next n*n crossing events
+    base = [e for e in long_events(LONG_FIG8) if e.kind == 'X']
+    xs = [e for e in n_cable(long_events(LONG_FIG8), 2) if e.kind == 'X']
+    assert len(xs) == 4 * len(base)
+    for k, orig in enumerate(base):
+        assert all(e.over == orig.over for e in xs[4 * k:4 * k + 4])
 
 
 def test_closed_cable_is_class_n():

@@ -17,9 +17,12 @@ def cable(text, word, n):
 def interleaved(g, cid1, cid2):
     """Do the chords of cid1 and cid2 cross inside the circle?  Exactly one
     end of cid2 lies on the open arc from the head to the foot of cid1."""
-    a, b = g.position('h', cid1), g.position('f', cid1)
-    return (g.in_open_arc(g.position('h', cid2), a, b)
-            != g.in_open_arc(g.position('f', cid2), a, b))
+    a, b, size = g.position('h', cid1), g.position('f', cid1), len(g.tokens)
+
+    def inside(idx):
+        return 0 < (idx - a) % size < (b - a) % size
+
+    return inside(g.position('h', cid2)) != inside(g.position('f', cid2))
 
 
 def test_homology_class():
