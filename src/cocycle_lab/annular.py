@@ -69,8 +69,10 @@ def _crossing(pos, over, cid):
 _EVENT_RE = re.compile(r'^(U|A|X\+|X-)\s+(\d+)$')
 
 
-def parse_morse(text, n=None, w0=None):
-    """Parse a Morse word in text form into an AnnularDiagram.
+def parse_events(text):
+    """The events of a Morse word in text form, read but not checked as
+    a diagram; crossing ids are 1, 2, ... in word order, and blank text
+    gives no events.
 
     Events are separated by ';'.  An optional leading '|' marks the ray
     (the word origin); a '|' anywhere else is rejected since the word is
@@ -94,9 +96,13 @@ def parse_morse(text, n=None, w0=None):
             next_cid += 1
         else:
             events.append(MorseEvent(kind, pos))
-    if n is None:
-        n = 1
-    return AnnularDiagram(n, events, w0=w0)
+    return events
+
+
+def parse_morse(text, n=1, w0=None):
+    """The validated class-n AnnularDiagram of a Morse word in text form
+    (parse_events), a long knot word by default."""
+    return AnnularDiagram(n, parse_events(text), w0=w0)
 
 
 def format_morse(diagram):

@@ -11,7 +11,7 @@ cocycle machinery evaluates on.
 
 from __future__ import annotations
 
-from .annular import AnnularDiagram, MorseEvent, parse_morse
+from .annular import AnnularDiagram, MorseEvent, parse_events, parse_morse
 from .gauss import w1
 from .moves import R1Create
 
@@ -53,10 +53,10 @@ def n_cable(events, n):
     return out
 
 
-def renumber(events, cid_start=1):
+def renumber(events):
     """Fresh consecutive crossing ids in word order."""
     out = []
-    nxt = cid_start
+    nxt = 1
     for ev in events:
         if ev.kind == 'X':
             out.append(MorseEvent('X', ev.pos, ev.over, nxt))
@@ -64,11 +64,6 @@ def renumber(events, cid_start=1):
         else:
             out.append(ev)
     return out
-
-
-def shift_events(events, offset):
-    """Relocate a word upward by offset strand positions."""
-    return [MorseEvent(e.kind, e.pos + offset, e.over, e.cid) for e in events]
 
 
 def closed_cable(tangle_events, long_events, n):
@@ -100,7 +95,7 @@ LONG_FIG8_W1 = LONG_FIG8 + " ; U 2 ; X+ 2 ; A 1"
 def long_w1(text):
     """The degree-one invariant (the framing) of a long knot word; blank
     text is the bare ring, with w1 = 0."""
-    return w1(parse_morse(text, n=1).gauss())
+    return w1(parse_morse(text).gauss())
 
 
 def normalize_w1(text, target):
@@ -117,17 +112,7 @@ def normalize_w1(text, target):
     return " ; ".join(parts)
 
 
-def long_events(text):
-    if not text.strip():
-        return []
-    return list(parse_morse(text, n=1).events)
-
-
-def insert_local_knot(events, slot, strand_pos, knot_text):
-    """Splice a long knot into the strand at strand_pos at the given word
-    slot, as a connected sum in a small ball."""
-    piece = shift_events(renumber(long_events(knot_text), cid_start=10 ** 6),
-                         strand_pos - 1)
-    out = list(events)
-    out[slot:slot] = piece
-    return renumber(out)
+# The events of a long knot word, read but not validated: a planner or
+# closed_cable checks them once, as part of the diagram it builds from
+# them, and a malformed word makes a malformed diagram of the same kind.
+long_events = parse_events

@@ -100,22 +100,26 @@ def _check_start(crossings, least=''):
                          f"crossings; at most {MAX_START_CROSSINGS} are accepted")
 
 
-def _framed(spec, target_w1, start=None):
+def _framed(spec, target_w1, start):
     """The knot's Morse text, framed to target_w1 when one is given.
 
-    start=(n, extra) first checks the start diagram [extra crossings]
-    [n-cable of the framed knot] against MAX_START_CROSSINGS, before the
-    framing kinks are written: each crossing of the framed word becomes
-    n * n, and the text of each crossing event holds one 'X'.
+    start=(n, extra) sizes the start diagram [extra crossings][n-cable of
+    the framed knot], n * n crossings per 'X' of the text, against
+    MAX_START_CROSSINGS: before the word is read (a least count if kinks
+    may follow) and before the framing kinks are written.  long_w1 reads
+    the word once, so its errors name the user's events; the planners
+    check the word again only as part of their start diagram.
     """
     text = _knot_text(spec)
-    kinks = 0 if target_w1 is None else abs(long_w1(text) - target_w1)
-    if start is not None:
-        n, extra = start
-        _check_start(extra + n * n * (text.count('X') + kinks))
-    if kinks:
-        text = normalize_w1(text, target_w1)
-    return text
+    n, extra = start
+    crossings = extra + n * n * text.count('X')
+    _check_start(crossings, '' if target_w1 is None else 'at least ')
+    w1_now = long_w1(text)
+    if target_w1 is None:
+        return text
+    kinks = abs(w1_now - target_w1)
+    _check_start(crossings + n * n * kinks)
+    return normalize_w1(text, target_w1) if kinks else text
 
 
 def _emit(payload, out_path):
@@ -290,6 +294,8 @@ def _cmd_verify(args):
     names = [args.suite] if args.suite else list(verify.SUITES)
     params = {}
     if args.n is not None:
+        # as for `loops --meridian/--cube`, checked before any host is built
+        _check_start(args.n - 1, 'at least ')
         params['ns'] = (args.n,)
     ok = True
     reports = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annular import AnnularDiagram, MorseEvent
+from .annular import AnnularDiagram, MorseEvent, parse_morse
 from .cabling import (braid_events, closed_cable, full_twist_word, long_events,
                       n_cable, renumber)
 from .cocycle import Movie
@@ -310,7 +310,8 @@ def pairing(left_text, right_text, n):
     """
     if n < 2:
         raise PlannerError("pairing needs n >= 2")
-    if long_events(left_text):
+    # no diagram is built from the left word, so it is validated here
+    if parse_morse(left_text).events:
         raise PlannerError("left cable is not a braid, cannot be transported")
     return push_loop(list(range(1, n)), right_text, n)
 

@@ -4,8 +4,8 @@ import pytest
 
 from cocycle_lab import annular, moves
 from cocycle_lab.annular import (AnnularDiagram, DiagramError, MorseEvent,
-                                 format_morse, parse_morse, strand_step,
-                                 window_strands)
+                                 format_morse, parse_events, parse_morse,
+                                 strand_step, window_strands)
 from cocycle_lab.cabling import (LONG_FIG8, LONG_TORUS25, LONG_TORUS27,
                                  LONG_TREFOIL, normalize_w1)
 from cocycle_lab.loops import (push_full_twist_loop, push_loop, rotation_loop,
@@ -73,6 +73,27 @@ def test_parse_rejects_garbage():
         parse_morse("U 2 ; | ; A 2", n=1, w0=1)
 
 
+@pytest.mark.parametrize('text, code, message', [
+    ('X 1', 'E_PARSE', "cannot parse event 'X 1'"),
+    ('U 2 ; X+1 ; A 2', 'E_PARSE', "cannot parse event 'X+1'"),
+    ('U 2 ; | ; A 2', 'E_RAY', "ray marker only allowed at the word origin"),
+    ('| ; |', 'E_RAY', "ray marker only allowed at the word origin"),
+])
+def test_parse_events_refuses_text_it_cannot_read(text, code, message):
+    with pytest.raises(DiagramError) as exc:
+        parse_events(text)
+    assert (exc.value.code, str(exc.value)) == (code, f'{code}: {message}')
+
+
+def test_parse_events_reads_without_building_a_diagram():
+    for blank in ('', '  ', '\n ; ;', '|', ' | ; '):
+        assert parse_events(blank) == []
+    # ids 1, 2, ... in word order; a word that is no diagram is still read
+    assert parse_events('| ; U 2 ; X- 3 ;\n X+ 1 ; A 9') == [
+        ('U', 2, '', -1), ('X', 3, '-', 1), ('X', 1, '+', 2), ('A', 9, '', -1)]
+    assert parse_morse(LONG_TREFOIL).events == parse_events(LONG_TREFOIL)
+
+
 def test_parse_reads_a_leading_ray_marker_as_the_origin():
     plain = parse_morse(LONG_TREFOIL, n=1, w0=1)
     assert parse_morse("| ; " + LONG_TREFOIL, n=1, w0=1).events == plain.events
@@ -137,8 +158,9 @@ def _build_outcome(n, events, w0):
     return g.tokens, sorted(g.signs.items())
 
 
-def _transport_grid_movies():
-    """The twelve movies of the transport grid, built afresh."""
+def _transport_grid_inputs():
+    """The planner, framed long word and class n of each transport-grid
+    movie."""
     trefoil = normalize_w1(LONG_TREFOIL, 1)
     grid = [(push_loop, trefoil, n) for n in (2, 3, 4)] + [
         (push_loop, normalize_w1(LONG_TORUS27, 2), 2),
@@ -147,7 +169,13 @@ def _transport_grid_movies():
     ] + [(planner, knot, 2)
          for knot in (trefoil, normalize_w1(LONG_FIG8, -1))
          for planner in (rotation_loop, scan_path, push_full_twist_loop)]
-    return [planner(list(range(1, n)), knot, n) for planner, knot, n in grid]
+    return grid
+
+
+def _transport_grid_movies():
+    """The twelve movies of the transport grid, built afresh."""
+    return [planner(list(range(1, n)), knot, n)
+            for planner, knot, n in _transport_grid_inputs()]
 
 
 def test_full_builds_are_pinned():

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocycle_lab.annular import AnnularDiagram
 from cocycle_lab.cabling import (LONG_FIG8, LONG_FIG8_W1, LONG_TREFOIL,
                                  braid_events, closed_cable, full_twist_word,
-                                 insert_local_knot, long_events, long_w1,
+                                 long_events, long_w1,
                                  n_cable, n_curl, normalize_w1)
 from cocycle_lab.cli import BUILTIN_KNOTS
 from cocycle_lab.gauss import v2, w1
@@ -82,12 +84,17 @@ def test_normalize_w1_keeps_the_knot():
     assert v2(g) == 1
 
 
-def test_insert_local_knot_adds_v2():
-    base = long_events(LONG_TREFOIL)
-    spliced = insert_local_knot(base, 1, 1, LONG_FIG8)
-    g = closed_cable([], spliced, 1).gauss()
-    # connected sum adds degree-two invariants: 1 + (-1)
-    assert v2(g) == 0
+def test_connected_sum_adds_v2():
+    # a connected sum of long knots is the concatenation of their words
+    def v2_of(text):
+        return v2(closed_cable([], long_events(text), 1).gauss())
+
+    alone = {name: v2_of(text) for name, text in BUILTIN_KNOTS.items()}
+    assert alone == {'unknot': 0, 'trefoil': 1, 'mirror-trefoil': 1,
+                     'fig8': -1, 'torus25': 3, 'torus27': 6}
+    for k1, k2 in itertools.product(BUILTIN_KNOTS, repeat=2):
+        text = ' ; '.join(t for t in (BUILTIN_KNOTS[k1], BUILTIN_KNOTS[k2]) if t)
+        assert v2_of(text) == alone[k1] + alone[k2], (k1, k2)
 
 
 @given(st.integers(2, 4))

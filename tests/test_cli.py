@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cocycle_lab import cli, loops
+from cocycle_lab import cli, loops, verify
+from cocycle_lab.annular import AnnularDiagram, parse_events
 from cocycle_lab.cli import build_parser, run
 
 
@@ -532,6 +533,44 @@ def test_oversized_hosts_are_refused_before_they_are_built(
         run(['loops', *flag, '--n', str(MAX_START + 1)])
 
 
+@pytest.mark.parametrize('n', [MAX_START + 2, 10 ** 5])
+@pytest.mark.parametrize('suite', [['--suite', 'tetrahedron'], ['--suite', 'cube'], []],
+                         ids=['tetrahedron', 'cube', 'all'])
+def test_verify_refuses_oversized_hosts_before_any_suite_runs(
+        monkeypatch, capsys, suite, n):
+    # the same bound as for `loops`: the suites' hosts have at least
+    # n - 1 crossings and take time quadratic in n to build
+    def reached(*args):
+        raise AssertionError('a host was built')
+
+    for name in ('quad_host', 'tangency_hosts'):
+        monkeypatch.setattr(verify, name, reached)
+    assert run(['verify', *suite, '--n', str(n)]) == 2
+    assert capsys.readouterr() == ('', (
+        f'cocycle-lab: E_ARGS: the start diagram has at least {n - 1} crossings; '
+        f'at most {MAX_START} are accepted\n'))
+    with pytest.raises(AssertionError, match='a host was built'):
+        run(['verify', *suite, '--n', str(MAX_START + 1)])
+
+
+@pytest.mark.parametrize('flag', ('--push',) + TWIST_LOOPS)
+def test_a_framed_word_is_sized_before_it_is_read(nothing_built, monkeypatch,
+                                                   capsys, flag):
+    # with --w1 the word alone is sized first, as a least count: an
+    # oversized word is refused without being parsed or swept
+    def reached(*args):
+        raise AssertionError('the word was read')
+
+    monkeypatch.setattr(cli, 'long_w1', reached)
+    argv = _loop_argv('eval', flag, MAX_START + 1) + ['--w1', '1']
+    assert run(argv) == 2
+    assert capsys.readouterr() == ('', (
+        f'cocycle-lab: E_ARGS: the start diagram has at least {MAX_START + 1} '
+        f'crossings; at most {MAX_START} are accepted\n'))
+    with pytest.raises(AssertionError, match='the word was read'):
+        run(_loop_argv('eval', flag, MAX_START) + ['--w1', '1'])
+
+
 @pytest.mark.parametrize('argv', [
     ['invariant', 'v2', '--knot', 'trefoil', '--w1', str(10 ** 8)],
     ['cable', '--knot', 'trefoil', '--n', '2', '--w1', str(10 ** 7)],
@@ -579,8 +618,11 @@ def test_twist_loops_that_cannot_resplit_are_refused_before_transport(
     ['pairing', '--left', 'unknot', '--right', 'torus25', '--n', '2', '--w1', '2'],
 ])
 def test_counted_crossings_are_the_start_diagrams(monkeypatch, capsys, argv):
+    # with --w1 the word is first sized alone, as a least count, and then
+    # with its framing kinks
     counted, starts = [], []
-    monkeypatch.setattr(cli, '_check_start', counted.append)
+    monkeypatch.setattr(cli, '_check_start',
+                        lambda crossings, least='': counted.append((crossings, least)))
     for name in ('push_loop', 'rotation_loop', 'scan_path',
                  'push_full_twist_loop', 'pairing'):
         def recorded(*args, planner=getattr(cli, name)):
@@ -589,4 +631,49 @@ def test_counted_crossings_are_the_start_diagrams(monkeypatch, capsys, argv):
             return movie
         monkeypatch.setattr(cli, name, recorded)
     assert run(argv) == 0
-    assert counted == [len(starts[0].gauss().signs)]
+    crossings = len(starts[0].gauss().signs)
+    assert counted[-1] == (crossings, '')
+    assert all(least == 'at least ' and c <= crossings for c, least in counted[:-1])
+
+
+def test_the_word_is_validated_as_itself_then_in_the_start(monkeypatch, capsys):
+    built = []
+    validate = AnnularDiagram.validate
+    monkeypatch.setattr(AnnularDiagram, 'validate',
+                        lambda self: built.append(self) or validate(self))
+    assert run(['eval', '--push', '--tangle', 's1', '--knot', 'trefoil',
+                '--n', '2', '--w1', '1', '--a', '1']) == 0
+    assert capsys.readouterr().out == '1\n'
+    assert [d.n for d in built] == [1, 2]
+    assert built[0].events == parse_events(cli.BUILTIN_KNOTS['trefoil'])
+
+
+_BAD_POS = 'U 2 ; X+ 3 ; A 2'
+
+
+@pytest.mark.parametrize('argv, message', [
+    (['eval', '--push', '--tangle', 's1', '--knot', _BAD_POS, '--n', '2', '--a', '1'],
+     'E_POS: crossing at 3 exceeds width 3'),
+    (['eval', '--full-twist', '--tangle', 's1,s2', '--knot', _BAD_POS, '--n', '3',
+      '--w1', '1'], 'E_POS: crossing at 3 exceeds width 3'),
+    (['pairing', '--left', _BAD_POS, '--right', 'trefoil', '--n', '2'],
+     'E_POS: crossing at 3 exceeds width 3'),
+    (['cable', '--knot', _BAD_POS, '--n', '2'], 'E_POS: crossing at 3 exceeds width 3'),
+    (['eval', '--scan', '--tangle', 's1', '--knot', 'U 1', '--n', '2', '--a', '1'],
+     'E_WIDTH: cyclic word does not preserve width'),
+    (['eval', '--push', '--tangle', 's1', '--knot', 'U 2 ; A 2 ; U 2 ; A 2',
+      '--n', '2', '--a', '1'], 'E_COMPONENTS: diagram is not a single knot'),
+])
+def test_a_malformed_word_is_refused_as_the_user_wrote_it(capsys, argv, message):
+    # the planners would quote their start diagram's positions; the
+    # command line checks the word alone first
+    assert run(argv) == 2
+    assert capsys.readouterr() == ('', f'cocycle-lab: {message}\n')
+
+
+@pytest.mark.parametrize('w1', [[], ['--w1', '1']], ids=['as-given', 'framed'])
+def test_pairing_reads_the_right_word_before_the_left(capsys, w1):
+    # the right word is read as it is framed, with or without --w1; the
+    # left one when the pairing is planned
+    assert run(['pairing', '--left', 'U 1', '--right', _BAD_POS, '--n', '2', *w1]) == 2
+    assert capsys.readouterr() == ('', 'cocycle-lab: E_POS: crossing at 3 exceeds width 3\n')

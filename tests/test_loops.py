@@ -1,5 +1,6 @@
 import pytest
 
+from cocycle_lab.annular import DiagramError
 from cocycle_lab.cabling import (LONG_FIG8_W1, LONG_TREFOIL, LONG_TORUS25,
                                  normalize_w1)
 from cocycle_lab.cocycle import evaluate, evaluate_all
@@ -54,6 +55,39 @@ def test_pairing_examples():
 def test_pairing_rejects_uncabled_mover():
     with pytest.raises(PlannerError):
         pairing(LONG_TREFOIL, "", 2)
+
+
+# malformed long words, each refused with its code by the parser or the
+# full build of the word alone (see test_cli's refusals)
+MALFORMED = [('U 2 ; X+ 3 ; A 2', 'E_POS'), ('U 1', 'E_WIDTH'),
+             ('U 2 ; A 2 ; U 2 ; A 2', 'E_COMPONENTS'), ('U 2 ; X 1 ; A 2', 'E_PARSE'),
+             ('U 2 ; | ; A 2', 'E_RAY'), ('U 2 ; X+ 0 ; A 2', 'E_POS')]
+
+
+@pytest.mark.parametrize('text, code', MALFORMED)
+@pytest.mark.parametrize('n', [2, 3])
+@pytest.mark.parametrize('planner', [push_loop, rotation_loop, scan_path,
+                                     push_full_twist_loop])
+def test_planners_refuse_a_malformed_word_with_its_code(planner, n, text, code):
+    # the word is checked once, as part of the planner's start diagram
+    with pytest.raises(DiagramError) as exc:
+        planner(list(range(1, n)), text, n)
+    assert exc.value.code == code
+
+
+def test_a_planner_quotes_its_start_diagram():
+    with pytest.raises(DiagramError, match='^E_POS: crossing at 6 exceeds width 6$'):
+        push_loop([1], 'U 2 ; X+ 3 ; A 2', 2)
+    # no diagram is built from pairing's left word: it is quoted as itself
+    with pytest.raises(DiagramError, match='^E_POS: crossing at 3 exceeds width 3$'):
+        pairing('U 2 ; X+ 3 ; A 2', TREFOIL1, 2)
+
+
+@pytest.mark.parametrize('text, code', MALFORMED)
+def test_pairing_refuses_a_malformed_left_word_as_itself(text, code):
+    with pytest.raises(DiagramError) as exc:
+        pairing(text, TREFOIL1, 2)
+    assert exc.value.code == code
 
 
 def test_three_cable_push_runs():

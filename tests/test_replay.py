@@ -140,6 +140,23 @@ def test_replay_validates_only_start_and_ray_shifts(monkeypatch, movies, count):
     assert any(isinstance(mv, Rearrange) for movie in movies for mv in movie.moves)
 
 
+def test_a_planner_validates_its_word_only_in_its_start(monkeypatch):
+    # the long word is read, not built: the start diagram is the one
+    # state validated while each transport-grid movie is planned
+    from test_annular import _transport_grid_inputs
+    inputs = _transport_grid_inputs()
+    assert {planner for planner, _, _ in inputs} == {
+        push_loop, rotation_loop, scan_path, push_full_twist_loop}
+    built = []
+    validate = AnnularDiagram.validate
+    monkeypatch.setattr(AnnularDiagram, 'validate',
+                        lambda self: built.append(self) or validate(self))
+    for planner, knot, n in inputs:
+        built.clear()
+        movie = planner(list(range(1, n)), knot, n)
+        assert built == [movie.start], planner.__name__
+
+
 # ---------------------------------------------------------------------------
 # Ray shifts
 
