@@ -98,18 +98,18 @@ def long_w1(text):
     return w1(parse_morse(text).gauss())
 
 
+def framed_word(text, cur, target):
+    """The long knot word text, whose framing (degree-one invariant) is
+    cur, framed to target by |cur - target| marking-1 kinks appended."""
+    # the kink looping above with X+ is negative, the one below with X- positive
+    over, variant = ('+', 'above') if cur > target else ('-', 'below')
+    piece = " ; ".join(ev.text() for ev in R1Create(0, 1, over, variant).kink_events())
+    return " ; ".join(([text] if text.strip() else []) + [piece] * abs(cur - target))
+
+
 def normalize_w1(text, target):
-    """Append marking-1 kinks to a long knot word until its degree-one
-    invariant hits the target framing: one kink crossing per unit of
-    |long_w1(text) - target|."""
-    cur = long_w1(text)
-    neg = "U 2 ; X+ 2 ; A 1"   # negative kink of marking one
-    pos = "U 1 ; X- 1 ; A 2"   # positive kink of marking one
-    piece = neg if cur > target else pos
-    parts = [text] if text.strip() else []
-    for _ in range(abs(cur - target)):
-        parts.append(piece)
-    return " ; ".join(parts)
+    """The long knot word text framed to target by marking-1 kinks."""
+    return framed_word(text, long_w1(text), target)
 
 
 # The events of a long knot word, read but not validated: a planner or

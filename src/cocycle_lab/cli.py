@@ -15,9 +15,8 @@ import os
 import sys
 
 from . import cabling, oracle, verify
-from .annular import AnnularDiagram, DiagramError, format_morse
-from .cabling import (braid_events, closed_cable, long_events, long_w1,
-                      normalize_w1)
+from .annular import DiagramError, format_morse
+from .cabling import braid_events, closed_cable, framed_word, long_events, long_w1
 from .cocycle import (evaluate, evaluate_all, interpolation_polynomial,
                       polynomial_text)
 from .discriminant import (GLOBAL_TYPES, HostError, meridian_loop, quad_host,
@@ -39,14 +38,15 @@ BUILTIN_KNOTS = {
 
 # The most crossings a start diagram of `loops`, `eval` or `pairing` may
 # have.  A movie keeps its start, its moves and its final state, so its
-# memory grows with its moves; each move copies the word it edits, so
-# its time grows with the moves times the word length.  Peak memory and
-# time of `eval ... --a 1` (Python 3.11, x86-64): push torus27 w1=2 n=8
-# (519 crossings) 19 MB, 0.16 s; push trefoil w1=1 n=18 (989) 22 MB,
-# 0.44 s; scan and rotation of trefoil w1=1 n=15 (899; 264,821 moves
-# for the rotation) 59 MB, 2.5 s.  Past the bound, push trefoil n=2
-# (library call) takes 1.1 s and 20 MB at w1=500 (2,009 crossings) and
-# 2.9 s and 24 MB at w1=800 (3,209).
+# memory grows with its moves.  Its time grows with the moves times the
+# word length: each move copies the state it edits, and each counted
+# triple point move scans the whole diagram.  Peak memory and time of
+# `eval ... --a 1` (Python 3.11, 2-core x86-64, best of 3): push torus27
+# w1=2 n=8 (519 crossings) 18 MB, 0.15 s; push trefoil w1=1 n=18 (989)
+# 22 MB, 0.35 s; scan and rotation of trefoil w1=1 n=15 (899; 264,821
+# moves for the rotation) 60 MB, 2.6 s.  Past the bound, push trefoil n=2
+# (library call) takes 1.6 s and 21 MB at w1=500 (2,009 crossings) and
+# 2.5 s and 24 MB at w1=800 (3,209), most of it in the counted rows.
 MAX_START_CROSSINGS = 1000
 
 
@@ -107,8 +107,8 @@ def _framed(spec, target_w1, start):
     the framed knot], n * n crossings per 'X' of the text, against
     MAX_START_CROSSINGS: before the word is read (a least count if kinks
     may follow) and before the framing kinks are written.  long_w1 reads
-    the word once, so its errors name the user's events; the planners
-    check the word again only as part of their start diagram.
+    the word once: its errors name the user's events, and the kinks start
+    from its framing.  The planners check the word again only in their start.
     """
     text = _knot_text(spec)
     n, extra = start
@@ -117,9 +117,8 @@ def _framed(spec, target_w1, start):
     w1_now = long_w1(text)
     if target_w1 is None:
         return text
-    kinks = abs(w1_now - target_w1)
-    _check_start(crossings + n * n * kinks)
-    return normalize_w1(text, target_w1) if kinks else text
+    _check_start(crossings + n * n * abs(w1_now - target_w1))
+    return framed_word(text, w1_now, target_w1)
 
 
 def _emit(payload, out_path):
@@ -190,17 +189,22 @@ def _explain_table(rep):
     ]
 
 
-def _report_payload(movie, explain=False):
+def _report_payload(movie, explain=False, at=None):
+    """Values at every a and their polynomial, or the value at a = at alone."""
     # report rows are built only for the explain table
-    reports = evaluate_all(movie, report=explain)
+    if at is None:
+        reports = evaluate_all(movie, report=explain)
+    else:
+        reports = {at: evaluate(movie, at, report=explain)}
     values = {a: rep.value for a, rep in reports.items()} if explain else reports
-    coeffs = interpolation_polynomial(values)
     payload = {
         'n': movie.start.n,
         'values': {str(a): values[a] for a in sorted(values)},
-        'polynomial': [str(c) for c in coeffs],
-        'polynomial_text': polynomial_text(coeffs),
     }
+    if at is None:
+        coeffs = interpolation_polynomial(values)
+        payload['polynomial'] = [str(c) for c in coeffs]
+        payload['polynomial_text'] = polynomial_text(coeffs)
     if explain:
         payload['moves'] = {str(a): _explain_table(reports[a])
                             for a in sorted(reports)}
@@ -266,13 +270,8 @@ def _cmd_loops(args):
 
 def _cmd_eval(args):
     movie = _loop_movie(args)
-    if args.a is None:
-        _emit(_report_payload(movie, explain=args.explain), args.out)
-    elif args.explain:
-        rep = evaluate(movie, args.a, report=True)
-        key = str(args.a)
-        _emit({'n': rep.n, 'values': {key: rep.value},
-               'moves': {key: _explain_table(rep)}}, args.out)
+    if args.a is None or args.explain:
+        _emit(_report_payload(movie, explain=args.explain, at=args.a), args.out)
     else:
         _emit(evaluate(movie, args.a), args.out)
     return 0

@@ -120,7 +120,7 @@ def w2_hm(g, triple, n, bottoms=None):
     return sum(w for _, _, w in match_n0_pairs(g, n, (triple.hm,), bottoms))
 
 
-def l_p(g, triple, n, mark_needed):
+def l_p(g, triple, mark_needed):
     """Signed count of crossings of the required marking cutting the ml
     chord from the side away from the highest branch."""
     pos, size = g._pos, len(g.tokens)
@@ -174,7 +174,7 @@ def _contributions(g, t, n, avals):
         weight = -t.sign * w2hm * t.w_hm
         out = []
         for a in avals:
-            lp = l_p(g, t, n, n - a)
+            lp = l_p(g, t, n - a)
             out.append((a, lp * weight, 0, lp, w2hm))
         return out
     # (a, n, a) at a = md only: both counts pair with the same marking-0
@@ -182,7 +182,7 @@ def _contributions(g, t, n, avals):
     bottoms = zero_chords(g, g._marks)
     w2p = w2_p(g, t, n, bottoms)
     w2hm = w2_hm(g, t, n, bottoms)
-    lp = l_p(g, t, n, n)
+    lp = l_p(g, t, n)
     return [(t.marks['d'], t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm),
              w2p, lp, w2hm)]
 

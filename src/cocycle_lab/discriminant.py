@@ -141,7 +141,6 @@ def _site_host(order, windings, n, block, perm):
     joins = []
     for ch in chains:
         joins.extend(zip(ch, ch[1:]))
-    z = len(joins)
     e = len(empty)
 
     # strand ids: ('p', t) piece strands, ('f', j) join feeders, ('b', j)

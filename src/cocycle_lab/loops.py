@@ -251,26 +251,15 @@ def _twist_transport(tangle_word, long_text, n, d):
 
 def _check_resplit(tangle_word, n):
     """Refuse a twist loop whose full twist cannot pass the closing
-    tangle by resplitting their word (_relabel_through_tangle): tangle
-    then twist must be the word twist then tangle, as for any power of
-    s1...s(n-1).  Every move of the transport keeps each crossing's flag,
+    tangle by resplitting their word: tangle then twist must be the word
+    twist then tangle, as for any power of s1...s(n-1).  The twist then
+    passes the tangle with no move, by a unit swap that only shifts the
+    split point.  Every move of the transport keeps each crossing's flag,
     and the twist meets the tangle on the positions it starts on, so the
     start decides it, before any move is made."""
     twist = full_twist_word(n)
     if list(tangle_word) + twist != twist + list(tangle_word):
         raise PlannerError("tangle does not absorb the twist by resplitting")
-
-
-def _relabel_through_tangle(tr):
-    """Slide the full twist across the closing tangle without moves.
-
-    Works when tangle then twist is the same word as twist then tangle
-    (_check_resplit), so the word admits the shifted split.
-    """
-    ti = tr.mi + tr.d
-    if tr.units[ti].kind != 'tangle':
-        raise PlannerError("twist is not facing the tangle")
-    tr._swap(ti)
 
 
 def rotation_loop(tangle_word, long_text, n):
@@ -279,8 +268,8 @@ def rotation_loop(tangle_word, long_text, n):
     around the satellite against the orientation of the core."""
     tr = _twist_transport(tangle_word, long_text, n, -1)
     _check_resplit(tangle_word, n)
-    tr.follow()
-    _relabel_through_tangle(tr)
+    tr.follow()     # stops facing the tangle, unit 0
+    tr._swap(tr.mi + tr.d)
     tr.ray_pass()
     return tr.movie
 
@@ -290,8 +279,8 @@ def push_full_twist_loop(tangle_word, long_text, n):
     the core orientation."""
     tr = _twist_transport(tangle_word, long_text, n, 1)
     _check_resplit(tangle_word, n)
-    tr.ray_pass()
-    _relabel_through_tangle(tr)
+    tr.ray_pass()   # leaves the tangle as unit 1, next to the twist
+    tr._swap(tr.mi + tr.d)
     # facing the cable now, still moving rightward
     tr.follow()
     return tr.movie

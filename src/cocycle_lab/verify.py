@@ -144,9 +144,9 @@ def suite_cube(params=None):
 def _push_states():
     for name, tangle, text, n in CABLE_FIXTURES[:2]:
         movie = push_loop(tangle, text, n)
-        states = movie.states()
-        for i in range(0, len(states), 7):
-            yield f"{name}[{i}]", states[i]
+        states = itertools.chain([movie.start], (after for *_, after in movie.steps()))
+        for i, d in itertools.islice(enumerate(states), 0, None, 7):
+            yield f"{name}[{i}]", d
 
 
 def suite_commutation(params=None):

@@ -114,11 +114,11 @@ def reference_row(before, t, n, a):
     pairs = reference_pairs(g, n)
     w2hm = sum(w for qn, _, w in pairs if qn == t.hm)
     if md == n:
-        lp = l_p(g, t, n, n - a)
+        lp = l_p(g, t, n - a)
         return 0, lp, w2hm, -t.sign * lp * w2hm * t.w_hm
     fc = f_crossings(g, t, n)
     w2p = sum(w for qn, _, w in pairs if qn in fc)
-    lp = l_p(g, t, n, n)
+    lp = l_p(g, t, n)
     return w2p, lp, w2hm, t.sign * (w2p + (lp + t.w_hm - 1) * w2hm * t.w_hm)
 
 
@@ -242,7 +242,7 @@ def test_f_crossings_and_l_p_match_the_reference():
             marks = reference_markings(g)
             fc = f_crossings(g, t, n)
             assert sorted(fc) == sorted(reference_f_crossings(g, marks, t, n))
-            lps = [l_p(g, t, n, m) for m in range(n + 1)]
+            lps = [l_p(g, t, m) for m in range(n + 1)]
             assert lps == [reference_l_p(g, marks, t, m) for m in range(n + 1)]
             seen['f'] += bool(fc)
             seen['l'] += any(lps)

@@ -442,7 +442,7 @@ def nothing_built(monkeypatch):
         raise AssertionError('the loop was built')
 
     for name in ('push_loop', 'rotation_loop', 'scan_path',
-                 'push_full_twist_loop', 'pairing', 'normalize_w1',
+                 'push_full_twist_loop', 'pairing', 'framed_word',
                  'meridian_loop', 'tangency_loop'):
         monkeypatch.setattr(cli, name, reached)
 
@@ -576,7 +576,7 @@ def test_a_framed_word_is_sized_before_it_is_read(nothing_built, monkeypatch,
     ['cable', '--knot', 'trefoil', '--n', '2', '--w1', str(10 ** 7)],
 ])
 def test_oversized_cable_and_invariant_are_refused(nothing_built, capsys, argv):
-    # refused before normalize_w1 writes the framing kinks; these commands
+    # refused before framed_word writes the framing kinks; these commands
     # build no loop, and the message names none.  The start diagram is n * n
     # copies of the trefoil's 3 crossings and its |w1 - 1| framing kinks
     crossings = {'invariant': 10 ** 8 + 2, 'cable': 4 * (10 ** 7 + 2)}[argv[0]]
@@ -646,6 +646,21 @@ def test_the_word_is_validated_as_itself_then_in_the_start(monkeypatch, capsys):
     assert capsys.readouterr().out == '1\n'
     assert [d.n for d in built] == [1, 2]
     assert built[0].events == parse_events(cli.BUILTIN_KNOTS['trefoil'])
+
+
+@pytest.mark.parametrize('argv, sizes', [
+    (['eval', '--push', '--tangle', 's1', '--knot', 'fig8', '--n', '2',
+      '--w1', '-1', '--a', '1'], [6, 29]),
+    (['cable', '--knot', 'trefoil', '--n', '2', '--tangle', 's1', '--w1', '3'], [5, 33]),
+])
+def test_a_word_with_framing_kinks_is_validated_once(monkeypatch, capsys, argv, sizes):
+    # the kinks are written from the framing the one read of the word found
+    sizes_seen = []
+    validate = AnnularDiagram.validate
+    monkeypatch.setattr(AnnularDiagram, 'validate',
+                        lambda self: sizes_seen.append(len(self.events)) or validate(self))
+    assert run(argv) == 0
+    assert sizes_seen == sizes
 
 
 _BAD_POS = 'U 2 ; X+ 3 ; A 2'
