@@ -61,8 +61,10 @@ class MorseEvent(namedtuple('MorseEvent', 'kind pos over cid')):
 
 def _crossing(pos, over, cid):
     """A crossing event from fields that validated events already hold,
-    made as a tuple without checking them again: only R3.apply calls it,
-    with its parent's positions, flags and ids permuted."""
+    made as a tuple without checking them again.  R3.apply calls it with
+    its parent's positions, flags and ids permuted, and
+    discriminant.tangency_hosts with its base host's block positions and
+    ids and the flags '+' and '-'."""
     return tuple.__new__(MorseEvent, ('X', pos, over, cid))
 
 

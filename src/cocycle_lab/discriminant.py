@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .annular import AnnularDiagram, DiagramError, MorseEvent
+from .annular import AnnularDiagram, DiagramError, MorseEvent, _crossing
 from .cocycle import Movie
 from .gauss import GaussDiagram
 from .moves import (Exchange, MoveError, R2Create, R2Delete, R3, _invert,
@@ -92,10 +92,12 @@ def tangency_hosts(order, windings, n):
     site, in itertools.product('+-', repeat=3) order.
 
     Only the all-'+' host is built and validated: a flag changes no
-    strand's path, so flipping it swaps the 'h'/'f' ends of its
-    crossing's two tokens and negates the sign, and every other variant
-    is derived with that Gauss data.  The call raises HostError, before
-    any variant.
+    strand's path, so every other variant is an edit of that host's
+    Gauss data (_reflagged).  A variant carries over the host's token
+    index, signs and markings, with the entries of each crossing whose
+    flag flips edited, so its first triple point move reads markings
+    without a prefix sum.  The call raises HostError, before any
+    variant.
     """
     base, slot = tangency_host(order, windings, ('+', '+', '+'), n)
     return ((flags, _reflagged(base, slot, flags), slot)
@@ -103,18 +105,33 @@ def tangency_hosts(order, windings, n):
 
 
 def _reflagged(base, slot, flags):
+    """The base host with its block crossings' over flags set to flags.
+
+    Flipping a crossing's flag swaps the kinds of its two tokens, which
+    keep their positions, and negates its sign.  Its marking becomes
+    n - m: the arc from the new head to the new foot is the complement
+    of the old one, and the base has class n.  Every other crossing
+    keeps its tokens, sign and marking.
+    """
     o, f, g = flags
     block = base.events[slot:slot + 4]
-    new = [MorseEvent('X', ev.pos, flag, ev.cid)
+    # the base's validated positions and ids, with flags from '+-'
+    new = [_crossing(ev.pos, flag, ev.cid)
            for ev, flag in zip(block, (o, _other(o), f, g))]
-    flipped = {ev.cid for ev, nv in zip(block, new) if ev.over != nv.over}
+    flipped = [ev.cid for ev, nv in zip(block, new) if ev.over != nv.over]
     if not flipped:
         return base
     bg = base.gauss()
-    tokens = [(('f' if k == 'h' else 'h'), v) if k != 'r' and v in flipped
-              else (k, v) for k, v in bg.tokens]
-    signs = {cid: -s if cid in flipped else s for cid, s in bg.signs.items()}
-    return base.spliced(slot, 4, new, GaussDiagram(tokens, signs))
+    tokens, pos = list(bg.tokens), dict(bg._pos)
+    signs, marks = dict(bg.signs), dict(bg.markings())
+    for cid in flipped:
+        head, foot = pos[('h', cid)], pos[('f', cid)]
+        tokens[head], tokens[foot] = ('f', cid), ('h', cid)
+        pos[('h', cid)], pos[('f', cid)] = foot, head
+        signs[cid] = -signs[cid]
+        marks[cid] = base.n - marks[cid]
+    return base.spliced(slot, 4, new,
+                        GaussDiagram._derived(tokens, signs, marks, pos))
 
 
 def _site_host(order, windings, n, block, perm):

@@ -20,6 +20,11 @@ class DiagramError(ValueError):
         self.code = code
 
 
+def _index(tokens):
+    """The position of every crossing token in tokens."""
+    return {tok: idx for idx, tok in enumerate(tokens) if tok[0] != 'r'}
+
+
 def ray_starts(tokens):
     """Token indices of the ray passages: the rotations canonical forms
     minimise over.  A diagram's walk starts on the ray, so every diagram
@@ -39,11 +44,19 @@ class GaussDiagram:
     the Gauss data build a new diagram, and states whose Gauss data a
     move keeps share this object.  The token positions are indexed at
     construction, and the markings are computed on first use, by the one
-    prefix sum in markings().  Moves that insert, drop or rotate tokens
-    build their diagram here from the edited list.  Only a triple point
-    move (transposed) derives one from its parent: it copies the
-    parent's index and moves six entries of it, and shares the parent's
-    signs and markings, which classifying the move computes anyway.
+    prefix sum in markings().  Moves that insert or drop tokens
+    build their diagram here from the edited list.  Three edits derive
+    one from a parent instead (_derived), carrying over what they keep:
+    a triple point move (transposed) copies the parent's index, moves
+    six entries of it and shares its signs and markings, which
+    classifying the move computes anyway; a flag variant of a tangency
+    host (discriminant._reflagged) copies its base's index, signs and
+    markings and edits the entries of the flipped crossings; a ray shift
+    (moves._ray_moved) indexes its rotated list but shares its parent's
+    signs and markings, if computed.  The R1 and R2 moves carry no
+    markings: an R2Create's new crossings need a fresh sum anyway, and a
+    cube loop, which never reads the markings after an R2 move, would
+    pay more for an eager copy than for the lazy sum.
 
     The last triangle asked of a diagram (moves.r3_token_pairs) is kept,
     keyed by its three crossing ids: R3.apply finds it once and
@@ -55,9 +68,20 @@ class GaussDiagram:
     signs: dict
 
     def __post_init__(self):
-        self._pos = {tok: idx for idx, tok in enumerate(self.tokens) if tok[0] != 'r'}
+        self._pos = _index(self.tokens)
         self._marks = None
         self._triangle = None, None
+
+    @classmethod
+    def _derived(cls, tokens, signs, marks, pos=None):
+        """A diagram derived from a parent by an edit whose effect on the
+        markings is known: marks is the new markings dict (None to
+        compute it on first use), and pos, if given, the index of tokens."""
+        g = cls.__new__(cls)
+        g.tokens, g.signs, g._marks = tokens, signs, marks
+        g._pos = _index(tokens) if pos is None else pos
+        g._triangle = None, None
+        return g
 
     @property
     def homology_class(self):
@@ -101,10 +125,7 @@ class GaussDiagram:
             x, y = tokens[i], tokens[i + 1]
             tokens[i], tokens[i + 1] = y, x
             pos[x], pos[y] = i + 1, i
-        g = GaussDiagram.__new__(GaussDiagram)
-        g.tokens, g.signs, g._pos = tokens, self.signs, pos
-        g._marks, g._triangle = self.markings(), (None, None)
-        return g
+        return GaussDiagram._derived(tokens, self.signs, self.markings(), pos)
 
     def canonical_tokens(self):
         """Cyclic-rotation-invariant token tuple, for planar-equality tests."""

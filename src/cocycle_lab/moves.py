@@ -28,12 +28,14 @@ walking the whole diagram again.  Both deletions filter their
 crossings' tokens out of the list (_drop), R2Create inserts two token
 pairs into a copy of it, and a ray shift of a crossing moves the
 crossing's two ray passages past its tokens and rotates the list
-(_ray_moved); each builds its GaussDiagram from the new list, whose
-markings are computed when something reads them.  R3 alone derives its
-diagram from the parent's (GaussDiagram.transposed).  A Rearrange whose
-old and new windows hold crossings only passes when the two differ by
-far commutations, that is when, for every position i, the crossings at
-i and i + 1 appear as the same sequence of events in both; a window
+(_ray_moved); each builds its GaussDiagram from the new list.  The
+markings of a deletion's or an R2Create's diagram are computed when
+something reads them; a ray shift keeps every marking and passes its
+parent's on.  R3 derives its diagram from the parent's index, signs
+and markings (GaussDiagram.transposed).  A Rearrange whose old and new
+windows hold crossings only passes when the two differ by far
+commutations, that is when, for every position i, the crossings at i
+and i + 1 appear as the same sequence of events in both; a window
 with a cup or a cap is compared by one sweep of each
 (annular.window_strands).  Kink creations, ray shifts of a cup or cap,
 a Rearrange that fails its window check, and an R2Create or ray shift
@@ -313,11 +315,12 @@ class RayShift(Move):
     A crossing keeps w0 and every sign and marking: the word and its
     widths rotate by one event, spliced in whole, and on each of the
     crossing's strands its token changes places with the ray passage
-    next to it (_ray_moved), and the new GaussDiagram is built from that
-    list.  A crossing at position 1 moves the passage that anchors the
-    token list, so the list is rotated to start at the new passage of
-    position 1, or to end at it where the knot runs backward there, as
-    AnnularDiagram._traverse orients it.  A cup or cap changes w0 and
+    next to it (_ray_moved).  The new GaussDiagram indexes that list and
+    shares the parent's signs and markings.  A crossing at position 1
+    moves the passage that anchors the token list, so the list is
+    rotated to start at the new passage of position 1, or to end at it
+    where the knot runs backward there, as AnnularDiagram._traverse
+    orients it.  A cup or cap changes w0 and
     the number of passages; no planner shifts one, and it is built and
     validated in full, as is a crossing whose tokens do not decide the
     edit.
@@ -350,7 +353,9 @@ def _ray_moved(g, ev, d):
     ('r', 1) when the knot runs word-forward there, on the other side as
     ('r', -1) when it runs backward.  Where both neighbours fit, the
     sign of ev, its over flag times the directions of its two strands,
-    settles one strand from the other."""
+    settles one strand from the other.  Every crossing keeps its
+    marking, so the new diagram shares the parent's markings dict if it
+    was computed."""
     tokens, size = g.tokens, len(g.tokens)
     # line 1 is the strand ascending through ev, line 2 the other
     ends = [g.position(kind, ev.cid) for kind in ('hf' if ev.over == '+' else 'fh')]
@@ -376,7 +381,7 @@ def _ray_moved(g, ev, d):
             new = new[j + 1:] + new[:j + 1]
         else:
             return None             # a class-0 walk would turn the knot around
-    return GaussDiagram(new, g.signs)
+    return GaussDiagram._derived(new, g.signs, g._marks)
 
 
 def exchange_pair(events, slot):

@@ -37,7 +37,7 @@ def test_hosts_reject_class_zero():
 
 def _host_data(host, slot):
     g = host.gauss()
-    return (host.events, host.widths(), host.w0, g.tokens, g.signs,
+    return (host.events, host.widths(), host.w0, g.tokens, g._pos, g.signs,
             g.markings(), slot)
 
 

@@ -214,9 +214,14 @@ def test_seeded_ray_shifts_match_the_full_build(monkeypatch, seed):
         for k in range(2 * len(d.events)):
             mv = RayShift(rng.choice((1, -1)))
             kind = cur.events[0 if mv.direction == 1 else -1].kind
+            marks = cur.gauss().markings()
             calls.clear()
             after = mv.apply(cur)
             kinds[kind, calls['validate']] += 1
+            if kind == 'X' and not calls['validate']:
+                # a crossing keeps every marking: the parent's dict is
+                # carried over, and compared with the full build below
+                assert after.gauss()._marks is marks
             assert_matches_reference(after, f"{d!r} shift {k} {mv!r}")
             back = RayShift(-mv.direction).apply(after)
             assert_same_tokens(back, cur, f"{d!r} shift {k} {mv!r} undone")

@@ -200,6 +200,25 @@ def test_cube_suite_validates_each_site_once(monkeypatch):
     assert len(calls) <= sites + corpus
 
 
+def test_cube_suite_sums_markings_once_per_site_and_graft(monkeypatch):
+    # a site's flag variants carry its markings over, and the two triple
+    # point moves of a loop share them: one prefix sum per validated
+    # site (96) and one per embedded graft (90), whose R2Create builds
+    # fresh Gauss data
+    from cocycle_lab.gauss import GaussDiagram
+    computed = []
+    markings = GaussDiagram.markings
+
+    def counted(self):
+        if self._marks is None:
+            computed.append(self)
+        return markings(self)
+
+    monkeypatch.setattr(GaussDiagram, 'markings', counted)
+    assert verify.run_suite('cube').checks == 1064
+    assert len(computed) == 96 + 90
+
+
 @pytest.mark.parametrize('suite, builder', [('tetrahedron', 'quad_host'),
                                             ('cube', 'tangency_hosts')])
 def test_a_host_that_cannot_be_built_fails_the_run(monkeypatch, capsys, suite,
